@@ -35,7 +35,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .delta import DeltaPolynomial, build_delta
-from .errors import RewriteDefectError, SizeLimitError
+from .errors import InvariantError, RewriteDefectError, SizeLimitError
 from .hooks import HookDrawing, enumerate_drawings, s_monomial
 from .linalg import Eliminator
 from .partitions import hook_partition
@@ -134,7 +134,8 @@ def generators(K: int, L: int) -> GeneratorSet:
     for combo in combinations(everything, K + 1):
         entries.append((f"ybar{combo}", squarefree_product(combo, "y", n)))
     expected = 3 * n + comb(n, L + 1) + comb(n, K + 1)
-    assert len(entries) == expected
+    if len(entries) != expected:
+        raise InvariantError(f"built {len(entries)} generators, expected {expected}")
     return GeneratorSet(K=K, L=L, entries=tuple(entries))
 
 
@@ -212,7 +213,7 @@ def proposition_instances(n: int, K: int, L: int, which: int):
 @lru_cache(maxsize=None)
 def _s_index(K: int, L: int) -> dict[Monomial, HookDrawing]:
     n = K + L + 1
-    return {s_monomial(d, n): d for d in enumerate_drawings(K, L, limit=max(n, 7))}
+    return {s_monomial(d, n): d for d in enumerate_drawings(K, L)}
 
 
 def classify_diagram(op: Monomial, K: int, L: int) -> AnomalyClass:

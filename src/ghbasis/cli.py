@@ -5,7 +5,8 @@ ideal {verify, quotient-dim, normal-form}, zerox {count, verify}, suite.
 Every run emits a report: text by default, or JSON of the shape
 {"command", "params", "checks": [{"name", "expected", "actual", "pass"}],
 "runtime_ms", "seed"}; the exit status is 0 iff every check passes, 2 for
-usage errors, 3 when a size limit is exceeded.
+usage errors and input that names no valid object (a one-line message on
+stderr), 3 when a size limit is exceeded.
 """
 
 from __future__ import annotations
@@ -14,13 +15,19 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial
 
 from .annihilator import generators, annihilates, normal_form, proposition_instances, quotient_hilbert
+from .checks import Check, criterion, run as run_checks
 from .delta import build_delta
-from .errors import SizeLimitError
+from .errors import (
+    NotAHookError,
+    PartitionError,
+    PolynomialSyntaxError,
+    RewriteDefectError,
+    SizeLimitError,
+)
 from .hooks import descendant_graph, enumerate_drawings, closed_form_count, s_monomial
 from .linalg import derivative_closure, homogeneous_family_rank
 from .partitions import hook_partition, parse_partition
@@ -33,19 +40,11 @@ EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
 
 
-@dataclass
-class Check:
-    name: str
-    expected: object
-    actual: object
+class UsageError(ValueError):
+    """Command-line input that parses but names no valid object."""
 
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.actual
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "expected": self.expected,
-                "actual": self.actual, "pass": self.passed}
+_INPUT_ERRORS = (PartitionError, PolynomialSyntaxError, NotAHookError, UsageError)
 
 
 @dataclass
@@ -85,7 +84,7 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=["text", "json"], default="text")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized pass; logged in the report")
+                        help="logged in the report; no check is randomized")
     common.add_argument("--threads", type=int, default=0,
                         help="worker threads for independent checks (0 = sequential)")
     common.add_argument("--limit-n", type=int, default=7, dest="limit_n",
@@ -135,11 +134,16 @@ def _parser() -> argparse.ArgumentParser:
 # subcommand bodies: each fills a Report
 # ---------------------------------------------------------------------------
 
+def _capped(mu, args):
+    """mu itself, once its n is checked against --limit-n."""
+    if mu.n > args.limit_n:
+        raise SizeLimitError(f"n = {mu.n} exceeds --limit-n = {args.limit_n}")
+    return mu
+
+
 def _cmd_delta(args, report: Report) -> None:
-    mu = parse_partition(args.partition)
-    if mu.n > args.limit_n + 2:
-        raise SizeLimitError(f"n = {mu.n} exceeds --limit-n + 2")
-    delta = build_delta(mu, limit=max(mu.n, 9))
+    mu = _capped(parse_partition(args.partition), args)
+    delta = build_delta(mu, limit=args.limit_n)
     text = format_poly(delta.value)
     report.extra_lines.append(text)
     report.checks.append(Check("bidegree (n(mu), n(mu'))",
@@ -149,10 +153,8 @@ def _cmd_delta(args, report: Report) -> None:
 
 
 def _cmd_hooks(args, report: Report) -> None:
-    K, L = args.k, args.l
-    n = K + L + 1
-    if n > args.limit_n:
-        raise SizeLimitError(f"n = {n} exceeds --limit-n = {args.limit_n}")
+    mu = _capped(hook_partition(args.k, args.l), args)
+    K, L, n = args.k, args.l, mu.n
     if args.subcommand == "enumerate":
         drawings = enumerate_drawings(K, L, limit=args.limit_n)
         if args.list_drawings:
@@ -162,17 +164,17 @@ def _cmd_hooks(args, report: Report) -> None:
         report.checks.append(Check("closed-form count = n!", factorial(n),
                                    closed_form_count(K, L)))
     elif args.subcommand == "verify-dim":
-        delta = build_delta(hook_partition(K, L))
+        delta = build_delta(mu)
         dim, _ = derivative_closure(delta)
         report.checks.append(Check("dim M_mu", factorial(n), dim))
     elif args.subcommand == "verify-basis":
-        delta = build_delta(hook_partition(K, L))
+        delta = build_delta(mu)
         drawings = enumerate_drawings(K, L, limit=args.limit_n)
         images = [apply_diff(s_monomial(d, n), delta.value) for d in drawings]
         report.checks.append(Check("rank of drawing images", factorial(n),
                                    homogeneous_family_rank(images)))
     elif args.subcommand == "descendants":
-        delta = build_delta(hook_partition(K, L))
+        delta = build_delta(mu)
         _, edges, acyclic = descendant_graph(K, L, delta, limit=args.limit_n)
         report.checks.append(Check("descendant graph acyclic", True, acyclic))
         report.extra_lines.append(
@@ -180,16 +182,14 @@ def _cmd_hooks(args, report: Report) -> None:
 
 
 def _cmd_ideal(args, report: Report) -> None:
-    K, L = args.k, args.l
-    n = K + L + 1
-    if n > args.limit_n:
-        raise SizeLimitError(f"n = {n} exceeds --limit-n = {args.limit_n}")
-    delta = build_delta(hook_partition(K, L))
+    mu = _capped(hook_partition(args.k, args.l), args)
+    K, L, n = args.k, args.l, mu.n
+    delta = build_delta(mu)
     if args.subcommand == "verify":
         gens = generators(K, L)
         bad = [tag for tag, p in gens.entries if not annihilates(p, delta)]
         report.checks.append(Check("generators annihilating Delta", len(gens), len(gens) - len(bad)))
-        if n <= 5:
+        if n <= criterion("A5b").full:
             for which in (1, 2, 3, 4):
                 seen = ok = 0
                 for inst in proposition_instances(n, K, L, which):
@@ -208,7 +208,7 @@ def _cmd_ideal(args, report: Report) -> None:
     elif args.subcommand == "normal-form":
         poly = parse_poly(args.op, n=n)
         if len(poly.terms) != 1 or next(iter(poly.terms.values())) != 1:
-            raise ValueError("--op must be a single monic monomial")
+            raise UsageError("--op must be a single monic monomial")
         op = next(iter(poly.terms))
         nf = normal_form(op, K, L, delta=delta, validate=True)
         for d, c in sorted(nf.items(), key=lambda item: format_monomial(s_monomial(item[0], n))):
@@ -218,9 +218,7 @@ def _cmd_ideal(args, report: Report) -> None:
 
 
 def _cmd_zerox(args, report: Report) -> None:
-    mu = parse_partition(args.partition)
-    if mu.n > args.limit_n:
-        raise SizeLimitError(f"n = {mu.n} exceeds --limit-n = {args.limit_n}")
+    mu = _capped(parse_partition(args.partition), args)
     if args.subcommand == "count":
         count, expected = count_check(mu, limit=args.limit_n)
         report.checks.append(Check("drawing count = n!/mu'!", expected, count))
@@ -241,139 +239,9 @@ def _cmd_zerox(args, report: Report) -> None:
         report.checks.append(Check("closure x-degree-0 slice", expected, result["dim_zero_slice"]))
 
 
-def _hooks_up_to(nmax):
-    for n in range(1, nmax + 1):
-        for K in range(n):
-            yield K, n - 1 - K
-
-
 def _cmd_suite(args, report: Report) -> None:
-    """smoke: everything at n <= 4; full: the acceptance matrix."""
-    from itertools import product as iproduct
-
-    from .errors import RewriteDefectError
-    from .hooks import diagram_of_monomial, diff_op_of, flip, is_son, reconstruct, split
-    from .partitions import partitions_of
-    from .poly import Monomial, format_monomial
-
-    smoke = args.level == "smoke"
-    n_counts = 4 if smoke else 7
-    n_rank = 4 if smoke else 6
-    n_closure = 4 if smoke else 5
-    n_rewrite = 4 if smoke else 5
-    n_gens = 4 if smoke else 7
-    n_instances = 3 if smoke else 5
-    n_quotient = 4 if smoke else 5
-    n_split = 4 if smoke else 6
-    n_son = 4 if smoke else 5
-    n_flip = 4 if smoke else 7
-    n_zerox_count = 4 if smoke else 7
-    n_zerox_rank = 4 if smoke else 6
-    n_corner = 4 if smoke else 8
-
-    def hook_checks(pair):
-        K, L = pair
-        n = K + L + 1
-        checks = []
-        delta = build_delta(hook_partition(K, L))
-        drawings = enumerate_drawings(K, L)
-        if n <= n_counts:
-            checks.append(Check(f"hooks({K},{L}) count = n!", factorial(n), len(drawings)))
-            checks.append(Check(f"hooks({K},{L}) closed form", factorial(n),
-                                closed_form_count(K, L)))
-        if n <= n_rank:
-            images = [apply_diff(s_monomial(d, n), delta.value) for d in drawings]
-            checks.append(Check(f"hooks({K},{L}) basis rank", factorial(n),
-                                homogeneous_family_rank(images)))
-        if n <= n_closure:
-            dim, closure_table = derivative_closure(delta)
-            checks.append(Check(f"hooks({K},{L}) dim M_mu", factorial(n), dim))
-            if n <= n_quotient:
-                qt = quotient_hilbert(K, L)
-                checks.append(Check(f"hooks({K},{L}) quotient total", factorial(n), qt.total))
-                checks.append(Check(f"hooks({K},{L}) tables agree", True,
-                                    qt.table == closure_table))
-                checks.append(Check(f"hooks({K},{L}) shell vanishes", True, qt.shell_zero))
-        if n <= n_rewrite:
-            bx, by = delta.bidegree
-            bad = 0
-            total = 0
-            for xe in iproduct(range(bx + 1), repeat=n):
-                if sum(xe) > bx:
-                    continue
-                for ye in iproduct(range(by + 1), repeat=n):
-                    if sum(ye) > by:
-                        continue
-                    total += 1
-                    try:
-                        normal_form(Monomial(tuple(xe), tuple(ye)), K, L,
-                                    delta=delta, validate=True)
-                    except RewriteDefectError:
-                        bad += 1
-            checks.append(Check(f"hooks({K},{L}) rewriting exact on {total} ops", 0, bad))
-        if n <= n_gens:
-            gens = generators(K, L)
-            good = sum(annihilates(p, delta) for _, p in gens.entries)
-            checks.append(Check(f"hooks({K},{L}) generators annihilate", len(gens), good))
-        if n <= n_instances:
-            for which in (1, 2, 3, 4):
-                seen = good = 0
-                for inst in proposition_instances(n, K, L, which):
-                    seen += 1
-                    good += annihilates(inst, delta)
-                checks.append(Check(f"hooks({K},{L}) schema-{which} instances", seen, good))
-        if n <= n_split:
-            ok = all(reconstruct(split(d)[0], True, K, L) == d
-                     and reconstruct(split(d)[1], False, K, L) == d
-                     for d in drawings)
-            checks.append(Check(f"hooks({K},{L}) reconstruct o split = id", True, ok))
-        if n <= n_son:
-            _, _, acyclic = descendant_graph(K, L, delta)
-            checks.append(Check(f"hooks({K},{L}) descendant graph acyclic", True, acyclic))
-            ok = all(is_son(a, b, delta) == is_son(flip(b), flip(a), delta)
-                     for a in drawings for b in drawings if a != b)
-            checks.append(Check(f"hooks({K},{L}) flip-son duality", True, ok))
-        if n <= n_flip:
-            family = set(drawings)
-            ok = all(flip(d) in family and flip(flip(d)) == d for d in family)
-            checks.append(Check(f"hooks({K},{L}) flip involution", True, ok))
-        return checks
-
-    jobs = list(_hooks_up_to(max(n_counts, n_rank, n_closure, n_rewrite,
-                                 n_gens, n_split, n_son, n_flip)))
-    if args.threads and args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for checks in pool.map(hook_checks, jobs):
-                report.checks.extend(checks)
-    else:
-        for pair in jobs:
-            report.checks.extend(hook_checks(pair))
-
-    for n in range(1, n_zerox_count + 1):
-        for mu in partitions_of(n):
-            count, expected = count_check(mu)
-            report.checks.append(Check(f"zerox count {mu}", expected, count))
-    for n in range(1, n_zerox_rank + 1):
-        for mu in partitions_of(n):
-            delta = build_delta(mu)
-            result = verify_zero_x_degree_basis(mu, delta)
-            ok = (result["count_ok"] and result["triangularity_ok"]
-                  and result["distinct_minimal_monomials"] and result["rank_ok"]
-                  and result["dim_zero_slice_ok"] and result["x_degree_zero_ok"]
-                  and result["x_degree_top_ok"])
-            report.checks.append(Check(f"zerox basis {mu}", True, ok))
-    for n in range(1, n_corner + 1):
-        bad = [str(mu) for mu in partitions_of(n) if not corner_recursion_check(mu)]
-        report.checks.append(Check(f"corner recursion n={n}", [], bad))
-
-    fixture = "y1^2*x2*x4*x5^2*y6"
-    op = next(iter(parse_poly(fixture, n=8).terms))
-    drawing = reconstruct(diagram_of_monomial(op, 7), True, 3, 4)
-    report.checks.append(Check("worked operator round-trip", fixture,
-                               format_monomial(diff_op_of(split(drawing)[0], 8))))
-    for fx in ("x2*y2*x3^4*x4^3*x6*x7^2*x8", "y1^3*y2*y5^2*y6*y9"):
-        report.checks.append(Check(f"monomial fixture {fx}", fx,
-                                   format_poly(parse_poly(fx))))
+    """Every registered criterion at its bound for --level (see ghbasis.checks)."""
+    report.checks.extend(row for _, row in run_checks(args.level, threads=args.threads))
 
 
 _COMMANDS = {
@@ -393,14 +261,21 @@ def _run_parsed(args) -> tuple[Report, int]:
               if k not in ("command", "subcommand", "output") and v is not None}
     report = Report(command=name, params=params, seed=args.seed)
     started = time.monotonic()
+    status = None
     try:
         _COMMANDS[args.command](args, report)
     except SizeLimitError as exc:
         report.extra_lines.append(f"size limit: {exc}")
-        report.runtime_ms = int((time.monotonic() - started) * 1000)
-        return report, EXIT_SIZE_LIMIT
+        status = EXIT_SIZE_LIMIT
+    except _INPUT_ERRORS as exc:
+        report.extra_lines.append(f"error: {exc}")
+        status = EXIT_USAGE
+    except RewriteDefectError as exc:
+        report.checks.append(Check("rewriting defect", None, str(exc)))
     report.runtime_ms = int((time.monotonic() - started) * 1000)
-    return report, EXIT_OK if report.ok else EXIT_CHECK_FAILED
+    if status is None:
+        status = EXIT_OK if report.ok else EXIT_CHECK_FAILED
+    return report, status
 
 
 def run(argv: list[str]) -> tuple[Report, int]:
@@ -415,7 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return EXIT_USAGE if code not in (0, None) else 0
     report, status = _run_parsed(args)
-    if args.output == "json":
+    if status == EXIT_USAGE:
+        print(f"ghbasis {report.command}: {report.extra_lines[-1]}", file=sys.stderr)
+    elif args.output == "json":
         print(report.to_json())
     else:
         print(report.to_text())

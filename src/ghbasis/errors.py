@@ -27,3 +27,7 @@ class NoPreimageError(ValueError):
 
 class RewriteDefectError(RuntimeError):
     """Internal rewriting invariant failed; signals a logic bug, not bad input."""
+
+
+class InvariantError(RuntimeError):
+    """A construction broke a property it guarantees; signals a logic bug, not bad input."""

@@ -23,7 +23,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from .delta import DeltaPolynomial
-from .errors import NoPreimageError, SizeLimitError
+from .errors import InvariantError, NoPreimageError, SizeLimitError
 from .poly import Monomial, apply_diff
 
 DEFAULT_LIMIT = 7
@@ -85,7 +85,7 @@ def _first_plain_right(shape: HookShape, crosses, place: int) -> int | None:
 
     A plain column is all white or all crossed.  When any x-column lies to
     the right, the depth-1 column is among them and is always plain, so the
-    scan is asserted to succeed.
+    scan cannot fail on a valid shape.
     """
     seen_x = False
     for q in range(place + 1, shape.places):
@@ -95,7 +95,7 @@ def _first_plain_right(shape: HookShape, crosses, place: int) -> int | None:
                 return q
     if not seen_x:
         return None
-    raise AssertionError("no plain x-column right of a y-column; depth-1 must be plain")
+    raise InvariantError("no plain x-column right of a y-column; depth-1 must be plain")
 
 
 def _y_choices(shape: HookShape, crosses, place: int) -> range:

@@ -1,52 +1,16 @@
-"""Certified exact rank and span computations over the integers.
+"""Exact rank computations over the integers.
 
 Rank is computed by division-free row elimination with gcd normalization:
 every pivot step replaces a row r by (r * pivot_lead - pivot_row * r_lead)
 divided by the gcd of its entries, which keeps all arithmetic in Z and is
-exact over Q.  An optional single-prime modular pass can pre-screen rows,
-but it may only skip rows whose dependence the exact elimination confirms;
-the exact method is authoritative.
+exact over Q.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .poly import Monomial, Polynomial, apply_diff, mono_key, monomial_from_orders
-
-_PRESCREEN_PRIME_BITS = 31
-
-
-@dataclass
-class SparseIntMatrix:
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    col_monomials: dict[int, Monomial] | None = None
-
-    def row(self, r: int) -> dict[int, int]:
-        return {c: v for (rr, c), v in self.entries.items() if rr == r}
-
-    @classmethod
-    def from_rows(cls, rows: list[dict[int, int]], cols: int,
-                  col_monomials: dict[int, Monomial] | None = None) -> "SparseIntMatrix":
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                if v:
-                    entries[(r, c)] = v
-        return cls(rows=len(rows), cols=cols, entries=entries, col_monomials=col_monomials)
-
-
-@dataclass(frozen=True)
-class RankCertificate:
-    rank: int
-    method: str  # "fraction-free-exact" or "modular-prescreen-then-exact"
-    pivot_trail: tuple[tuple[int, int], ...]  # (row index, pivot column)
-    seed: int | None = None
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:
@@ -93,10 +57,10 @@ class Eliminator:
         self.trail: list[tuple[int, int]] = []
         self._count = 0
 
-    def add(self, row: dict[int, int], tag: int | None = None) -> bool:
+    def add(self, row: dict[int, int]) -> bool:
         """Insert a row; True iff it enlarged the row space."""
         reduced = _eliminate(row, self.pivots)
-        index = tag if tag is not None else self._count
+        index = self._count
         self._count += 1
         if not reduced:
             return False
@@ -110,118 +74,16 @@ class Eliminator:
         return len(self.pivots)
 
 
-def rank(matrix: SparseIntMatrix, prescreen: bool = False,
-         seed: int = 0) -> RankCertificate:
-    """Exact rank over Q.
-
-    With prescreen=True a random prime (> 2^30, drawn from seed) orders the
-    rows by modular independence first; rows the modular pass marks dependent
-    are still confirmed dependent by the exact elimination before being
-    discarded, so the result never relies on the prime.
-    """
-    rows: list[dict[int, int]] = [dict() for _ in range(matrix.rows)]
-    for (r, c), v in matrix.entries.items():
-        rows[r][c] = v
-
-    order = list(range(matrix.rows))
-    method = "fraction-free-exact"
-    if prescreen:
-        method = "modular-prescreen-then-exact"
-        rng = random.Random(seed)
-        prime = _draw_prime(rng)
-        independent, dependent = _modular_split(rows, prime)
-        order = independent + dependent
-
-    elim = Eliminator()
-    for r in order:
-        elim.add(rows[r], tag=r)
-    return RankCertificate(rank=elim.rank, method=method,
-                           pivot_trail=tuple(elim.trail),
-                           seed=seed if prescreen else None)
-
-
-def _draw_prime(rng: random.Random) -> int:
-    while True:
-        candidate = rng.getrandbits(_PRESCREEN_PRIME_BITS) | (1 << (_PRESCREEN_PRIME_BITS - 1)) | 1
-        if _is_prime(candidate):
-            return candidate
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % p == 0:
-            return m == p
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _modular_split(rows: list[dict[int, int]], prime: int) -> tuple[list[int], list[int]]:
-    pivots: dict[int, dict[int, int]] = {}
-    independent, dependent = [], []
-    for r, row in enumerate(rows):
-        reduced = {c: v % prime for c, v in row.items() if v % prime}
-        while True:
-            col = min((c for c in reduced if c in pivots), default=None)
-            if col is None:
-                break
-            piv = pivots[col]
-            factor = reduced[col] * pow(piv[col], -1, prime) % prime
-            for c, v in piv.items():
-                new = (reduced.get(c, 0) - factor * v) % prime
-                if new:
-                    reduced[c] = new
-                else:
-                    reduced.pop(c, None)
-        if reduced:
-            pivots[min(reduced)] = reduced
-            independent.append(r)
-        else:
-            dependent.append(r)
-    return independent, dependent
-
-
 # ---------------------------------------------------------------------------
 # polynomial families
 # ---------------------------------------------------------------------------
-
-def _column_index(polys: list[Polynomial]) -> dict[Monomial, int]:
-    monomials = set()
-    for p in polys:
-        monomials.update(p.terms)
-    ordered = sorted(monomials, key=mono_key)
-    return {m: i for i, m in enumerate(ordered)}
-
-def polys_to_matrix(polys: list[Polynomial]) -> SparseIntMatrix:
-    index = _column_index(polys)
-    rows = [{index[m]: c for m, c in p.terms.items()} for p in polys]
-    col_monomials = {i: m for m, i in index.items()}
-    return SparseIntMatrix.from_rows(rows, cols=len(index), col_monomials=col_monomials)
-
-
-def poly_rank(polys: list[Polynomial], prescreen: bool = False, seed: int = 0) -> int:
-    return rank(polys_to_matrix(polys), prescreen=prescreen, seed=seed).rank
-
 
 def homogeneous_family_rank(polys: list[Polynomial]) -> int:
     """Rank of a family of bihomogeneous polynomials, block by bidegree.
 
     Distinct bidegrees are independent outright, so the rank is the sum of
-    the per-bidegree ranks; zero polynomials contribute nothing.
+    the per-bidegree ranks; zero polynomials contribute nothing.  Within a
+    block, columns are the block's monomials in mono_key order.
     """
     blocks: dict[tuple[int, int], list[Polynomial]] = {}
     for p in polys:
@@ -231,49 +93,14 @@ def homogeneous_family_rank(polys: list[Polynomial]) -> int:
         blocks.setdefault(m.bidegree(), []).append(p)
     total = 0
     for bideg in sorted(blocks):
-        total += poly_rank(blocks[bideg])
+        block = blocks[bideg]
+        columns = sorted({m for p in block for m in p.terms}, key=mono_key)
+        index = {m: i for i, m in enumerate(columns)}
+        elim = Eliminator()
+        for p in block:
+            elim.add({index[m]: c for m, c in p.terms.items()})
+        total += elim.rank
     return total
-
-
-def in_span(vectors: list[Polynomial], target: Polynomial) -> list[Fraction] | None:
-    """Exact rational coefficients with sum(c_i v_i) = target, or None.
-
-    Gaussian elimination over Q with bookkeeping of the expressing
-    combination; sizes here are small (families of derivative images).
-    """
-    if target.is_zero():
-        return [Fraction(0)] * len(vectors)
-    index = _column_index(vectors + [target])
-    basis: dict[int, tuple[dict[int, Fraction], list[Fraction]]] = {}
-    for i, v in enumerate(vectors):
-        row = {index[m]: Fraction(c) for m, c in v.terms.items()}
-        combo = [Fraction(0)] * len(vectors)
-        combo[i] = Fraction(1)
-        row, combo = _reduce_fraction_row(row, combo, basis)
-        if row:
-            basis[min(row)] = (row, combo)
-    row = {index[m]: Fraction(c) for m, c in target.terms.items()}
-    combo = [Fraction(0)] * len(vectors)
-    row, combo = _reduce_fraction_row(row, combo, basis)
-    if row:
-        return None
-    return [-c for c in combo]
-
-
-def _reduce_fraction_row(row, combo, basis):
-    while True:
-        col = min((c for c in row if c in basis), default=None)
-        if col is None:
-            return row, combo
-        brow, bcombo = basis[col]
-        factor = row[col] / brow[col]
-        for c, v in brow.items():
-            new = row.get(c, Fraction(0)) - factor * v
-            if new:
-                row[c] = new
-            else:
-                row.pop(c, None)
-        combo = [a - factor * b for a, b in zip(combo, bcombo)]
 
 
 def derivative_closure(delta) -> tuple[int, dict[tuple[int, int], int]]:

@@ -102,11 +102,6 @@ def descent_key(m: Monomial):
     return tuple(-e for e in m.xexp) + tuple(-e for e in m.yexp)
 
 
-def descent_less(m1: Monomial, m2: Monomial) -> bool:
-    _check_same_n(m1, m2)
-    return descent_key(m1) < descent_key(m2)
-
-
 class Polynomial:
     """Immutable-by-convention sparse polynomial: a map Monomial -> nonzero int."""
 
@@ -215,18 +210,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)!r})"
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def scale(p: Polynomial, c: int) -> Polynomial:
-    return p.scale(c)
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
 
 
 def _diff_term_into(op: Monomial, terms: dict, scale_by: int, out: dict) -> None:

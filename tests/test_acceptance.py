@@ -1,216 +1,58 @@
-"""Acceptance criteria, one test per criterion, exact integer equality throughout.
+"""Acceptance criteria A1-A9: the check registry of ghbasis.checks at level full.
 
-Each test prints a [PASS]/[FAIL] line (visible under pytest -s) and asserts.
+Each test runs the criteria of one A-number, prints a [PASS]/[FAIL] line per
+criterion (visible under pytest -s) and asserts that every row passes.
 """
 
-from itertools import product as iproduct
-from math import factorial
-
-from ghbasis.annihilator import (
-    annihilates,
-    generators,
-    normal_form,
-    proposition_instances,
-    quotient_hilbert,
-)
-from ghbasis.delta import build_delta
-from ghbasis.hooks import (
-    closed_form_count,
-    descendant_graph,
-    diagram_of_monomial,
-    diff_op_of,
-    enumerate_drawings,
-    flip,
-    is_son,
-    reconstruct,
-    s_monomial,
-    split,
-)
-from ghbasis.linalg import derivative_closure, homogeneous_family_rank
-from ghbasis.partitions import (
-    conjugate_factorial,
-    hook_partition,
-    partitions_of,
-)
-from ghbasis.poly import Monomial, apply_diff, format_monomial, format_poly, parse_poly
-from ghbasis.zerox import (
-    check_minimal_monomials,
-    corner_recursion_check,
-    count_check,
-    enumerate_general,
-    split_general,
-    verify_zero_x_degree_basis,
-)
+from ghbasis.checks import REGISTRY, run
 
 
-def record(name: str, ok: bool) -> None:
-    print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-    assert ok, name
-
-
-def hooks_up_to(nmax):
-    for n in range(1, nmax + 1):
-        for K in range(n):
-            yield K, n - 1 - K
-
-
-def bounded_operators(n, bx, by):
-    for xe in iproduct(range(bx + 1), repeat=n):
-        if sum(xe) > bx:
-            continue
-        for ye in iproduct(range(by + 1), repeat=n):
-            if sum(ye) > by:
-                continue
-            yield Monomial(tuple(xe), tuple(ye))
+def verify(number: str) -> None:
+    selected = [c for c in REGISTRY if c.label.startswith(number)]
+    assert selected, f"no criterion labelled {number}"
+    rows = run("full", selected)
+    failed = []
+    for crit in selected:
+        mine = [check for c, check in rows if c is crit]
+        bad = [check.name for check in mine if not check.passed]
+        print(f"[{'FAIL' if bad or not mine else 'PASS'}] {crit.describe('full')} "
+              f"({len(mine)} checks)")
+        assert mine, f"{crit.label} produced no checks"
+        failed += bad
+    assert not failed, failed
 
 
 def test_a1_drawing_counts():
-    ok = True
-    for K, L in hooks_up_to(7):
-        n = K + L + 1
-        ok &= len(enumerate_drawings(K, L)) == factorial(n)
-        ok &= closed_form_count(K, L) == factorial(n)
-    record("A1 drawing count = n! = closed form, hooks n <= 7", ok)
+    verify("A1")
 
 
 def test_a2_basis_independence_rank():
-    ok = True
-    for K, L in hooks_up_to(6):
-        n = K + L + 1
-        delta = build_delta(hook_partition(K, L))
-        images = [apply_diff(s_monomial(d, n), delta.value)
-                  for d in enumerate_drawings(K, L)]
-        ok &= homogeneous_family_rank(images) == factorial(n)
-    record("A2 rank of drawing images = n!, hooks n <= 5 and n = 6", ok)
+    verify("A2")
 
 
 def test_a3_dimension_conjecture_for_hooks():
-    ok = True
-    for K, L in hooks_up_to(5):
-        dim, _ = derivative_closure(build_delta(hook_partition(K, L)))
-        ok &= dim == factorial(K + L + 1)
-    record("A3 derivative closure dimension = n!, hooks n <= 5", ok)
+    verify("A3")
 
 
 def test_a4_spanning_rewriting():
-    ok = True
-    count = 0
-    for K, L in hooks_up_to(5):
-        n = K + L + 1
-        delta = build_delta(hook_partition(K, L))
-        bx, by = delta.bidegree
-        for op in bounded_operators(n, bx, by):
-            normal_form(op, K, L, delta=delta, validate=True)
-            count += 1
-    record(f"A4 spanning rewriting exact on all {count} bounded operators, hooks n <= 5", ok)
+    verify("A4")
 
 
 def test_a5_ideal_soundness():
-    ok = True
-    for K, L in hooks_up_to(7):
-        delta = build_delta(hook_partition(K, L))
-        ok &= all(annihilates(p, delta) for _, p in generators(K, L).entries)
-    record("A5a every listed generator annihilates Delta, hooks n <= 7", ok)
-    ok2 = True
-    for K, L in hooks_up_to(5):
-        n = K + L + 1
-        delta = build_delta(hook_partition(K, L))
-        for which in (1, 2, 3, 4):
-            for inst in proposition_instances(n, K, L, which):
-                ok2 &= annihilates(inst, delta)
-    record("A5b every relation-schema instance annihilates Delta, hooks n <= 5", ok2)
+    verify("A5")
 
 
 def test_a6_ideal_completeness_dimension():
-    ok = True
-    for K, L in hooks_up_to(5):
-        n = K + L + 1
-        qt = quotient_hilbert(K, L)
-        dim, table = derivative_closure(build_delta(hook_partition(K, L)))
-        ok &= qt.total == factorial(n)
-        ok &= qt.table == table
-        ok &= qt.shell_zero
-    record("A6 quotient total = n! and graded table = closure table, hooks n <= 5", ok)
+    verify("A6")
 
 
 def test_a7_independence_machinery():
-    ok_split = True
-    for K, L in hooks_up_to(6):
-        for d in enumerate_drawings(K, L):
-            s, t = split(d)
-            ok_split &= reconstruct(s, True, K, L) == d
-            ok_split &= reconstruct(t, False, K, L) == d
-    record("A7a reconstruct o split = identity from S and T, hooks n <= 6", ok_split)
-
-    ok_acyclic = True
-    for K, L in hooks_up_to(5):
-        delta = build_delta(hook_partition(K, L))
-        _, _, acyclic = descendant_graph(K, L, delta)
-        ok_acyclic &= acyclic
-    record("A7b descendant graph acyclic, hooks n <= 5", ok_acyclic)
-
-    ok_duality = True
-    for K, L in hooks_up_to(5):
-        delta = build_delta(hook_partition(K, L))
-        drawings = enumerate_drawings(K, L)
-        for a in drawings:
-            for b in drawings:
-                if a != b:
-                    ok_duality &= is_son(a, b, delta) == is_son(flip(b), flip(a), delta)
-    record("A7c flip-son duality, hooks n <= 5", ok_duality)
-
-    ok_flip = True
-    for K, L in hooks_up_to(7):
-        family = set(enumerate_drawings(K, L))
-        for d in family:
-            fd = flip(d)
-            ok_flip &= fd in family and flip(fd) == d
-    record("A7d flip is an involution preserving the family, hooks n <= 7", ok_flip)
+    verify("A7")
 
 
 def test_a8_zero_x_degree_bases():
-    ok_count = True
-    for n in range(1, 8):
-        for mu in partitions_of(n):
-            count, expected = count_check(mu)
-            ok_count &= count == expected == factorial(n) // conjugate_factorial(mu)
-    record("A8a drawing count = n!/mu'!, partitions n <= 7", ok_count)
-
-    ok_min = True
-    for n in range(1, 7):
-        for mu in partitions_of(n):
-            delta = build_delta(mu)
-            drawings = enumerate_general(mu)
-            whites = set()
-            for d in drawings:
-                ok_min &= check_minimal_monomials(d, delta)
-                whites.add(split_general(d)[1])
-            ok_min &= len(whites) == len(drawings)
-    record("A8b minimal-monomial equality and distinct whites, partitions n <= 6", ok_min)
-
-    ok_rank = True
-    for n in range(1, 7):
-        for mu in partitions_of(n):
-            report = verify_zero_x_degree_basis(mu, build_delta(mu))
-            ok_rank &= report["rank_ok"] and report["dim_zero_slice_ok"]
-            ok_rank &= report["x_degree_zero_ok"] and report["x_degree_top_ok"]
-    record("A8c cross/white image ranks = n!/mu'!, partitions n <= 6", ok_rank)
-
-    ok_corner = True
-    for n in range(1, 9):
-        for mu in partitions_of(n):
-            ok_corner &= corner_recursion_check(mu)
-    record("A8d corner recursion identity, partitions n <= 8", ok_corner)
+    verify("A8")
 
 
 def test_a9_worked_fixtures():
-    text = "y1^2*x2*x4*x5^2*y6"
-    op = next(iter(parse_poly(text, n=8).terms))
-    drawing = reconstruct(diagram_of_monomial(op, 7), True, 3, 4)
-    ok = format_monomial(diff_op_of(split(drawing)[0], 8)) == text
-    record("A9a worked operator string round-trips through its drawing", ok)
-
-    ok2 = True
-    for fixture in ("x2*y2*x3^4*x4^3*x6*x7^2*x8", "y1^3*y2*y5^2*y6*y9"):
-        ok2 &= format_poly(parse_poly(fixture)) == fixture
-    record("A9b cross/white monomial strings parse and re-format losslessly", ok2)
+    verify("A9")

@@ -14,7 +14,9 @@ from ghbasis.annihilator import (
     quotient_hilbert,
     reduce_step,
 )
+from ghbasis import hooks
 from ghbasis.delta import build_delta
+from ghbasis.errors import SizeLimitError
 from ghbasis.hooks import enumerate_drawings, s_monomial
 from ghbasis.linalg import derivative_closure
 from ghbasis.partitions import hook_partition
@@ -151,6 +153,15 @@ def test_normal_form_examples():
     assert normal_form(mono("x1*y1", 3), 1, 1, delta=delta, validate=True) == {}
     nf_drawing = normal_form(mono("y1", 3), 1, 1, delta=delta, validate=True)
     assert list(nf_drawing.values()) == [1]
+
+
+def test_normal_form_respects_the_drawing_size_cap(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("drawings enumerated past the size cap")
+
+    monkeypatch.setattr(hooks, "_shape_from_y_places", enumerated)
+    with pytest.raises(SizeLimitError):
+        normal_form(mono("x1", 8), 3, 4)
 
 
 @pytest.mark.parametrize("K,L", list(hooks_up_to(4)))

@@ -1,8 +1,22 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from ghbasis import checks, cli
 from ghbasis.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE, main, run
+from ghbasis.errors import RewriteDefectError
+
+SMOKE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "smoke_reference.json"
+
+# Well-formed command lines whose values name no valid object.
+BAD_INPUT = [
+    ["delta", "--partition", "1,2"],
+    ["zerox", "count", "--partition", "0"],
+    ["hooks", "enumerate", "--k", "-1", "--l", "2"],
+    ["ideal", "normal-form", "--k", "1", "--l", "1", "--op", "2*x1"],
+    ["ideal", "normal-form", "--k", "1", "--l", "1", "--op", "x9"],
+]
 
 
 def test_delta_text(capsys):
@@ -54,12 +68,41 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == EXIT_USAGE
     capsys.readouterr()
+    for argv in BAD_INPUT:
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1, (argv, captured.err)
+        assert "Traceback" not in captured.err, argv
 
 
 def test_size_limit_exit_code(capsys):
     status = main(["hooks", "enumerate", "--k", "5", "--l", "5"])
     capsys.readouterr()
     assert status == EXIT_SIZE_LIMIT
+    # delta caps at --limit-n like every other command
+    assert main(["delta", "--partition", "2,1", "--limit-n", "2"]) == EXIT_SIZE_LIMIT
+    assert main(["delta", "--partition", "2,1", "--limit-n", "3"]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_check_failed_exit_code(monkeypatch):
+    # Negative control for the check registry: one wrong closed form fails the suite.
+    monkeypatch.setattr(checks, "closed_form_count", lambda K, L: 0)
+    report, status = run(["suite", "--level", "smoke"])
+    assert status == EXIT_CHECK_FAILED
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed and all(name.endswith(" closed form") for name in failed)
+
+
+def test_rewrite_defect_is_a_failed_check(monkeypatch):
+    def defect(*args, **kwargs):
+        raise RewriteDefectError("normal form of x3 fails the oracle")
+
+    monkeypatch.setattr(cli, "normal_form", defect)
+    report, status = run(["ideal", "normal-form", "--k", "1", "--l", "1", "--op", "x3"])
+    assert status == EXIT_CHECK_FAILED
+    assert report.checks[-1].actual == "normal form of x3 fails the oracle"
 
 
 def test_suite_smoke_passes_and_is_seed_stable(capsys):
@@ -75,6 +118,13 @@ def test_suite_smoke_passes_and_is_seed_stable(capsys):
     a["runtime_ms"] = b["runtime_ms"] = 0
     assert json.dumps(a) == json.dumps(b)
     assert a["seed"] == 7
+    # The same params, check names, values and order as the benchmark's reference.
+    reference = json.loads(SMOKE_REFERENCE.read_text())
+    for payload in (a, reference):
+        payload.pop("runtime_ms", None)
+        payload.pop("seed")
+        payload["params"].pop("seed")
+    assert a == reference
 
 
 def test_run_returns_report_object():

@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghbasis.checks import flip_dual
 from ghbasis.delta import build_delta
 from ghbasis.errors import NoPreimageError
 from ghbasis.hooks import (
@@ -197,12 +198,24 @@ def test_descendant_graph_acyclic_n6(K):
 
 @pytest.mark.parametrize("K,L", list(hooks_up_to(5)))
 def test_flip_son_duality(K, L):
+    # The pairwise is_son path is the oracle for the edge-based check.
     delta = build_delta(hook_partition(K, L))
-    drawings = enumerate_drawings(K, L)
+    drawings, edges, _ = descendant_graph(K, L, delta)
+    assert drawings == enumerate_drawings(K, L)
+    sons = {(a, b) for a in drawings for b in drawings if a != b and is_son(a, b, delta)}
+    assert {(drawings[i], drawings[j]) for i, js in edges.items() for j in js} == sons
     for a in drawings:
         for b in drawings:
-            if a == b:
-                continue
-            lhs = is_son(a, b, delta)
-            rhs = is_son(flip(b), flip(a), delta)
-            assert lhs == rhs
+            if a != b:
+                assert ((a, b) in sons) == ((flip(b), flip(a)) in sons)
+    assert flip_dual(drawings, edges)
+
+
+def test_flip_dual_rejects_a_broken_graph():
+    delta = build_delta(hook_partition(2, 1))
+    drawings, edges, _ = descendant_graph(2, 1, delta)
+    index = {d: k for k, d in enumerate(drawings)}
+    i, j = next((i, j) for i, sons in edges.items() for j in sons
+                if (index[flip(drawings[j])], index[flip(drawings[i])]) != (i, j))
+    edges[i] = [s for s in edges[i] if s != j]
+    assert not flip_dual(drawings, edges)
