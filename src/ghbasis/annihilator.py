@@ -78,16 +78,20 @@ class AnomalyClass:
 # generators
 # ---------------------------------------------------------------------------
 
-def h_poly(degree: int, indices: tuple[int, ...], alphabet: str, n: int) -> Polynomial:
-    """Complete homogeneous symmetric polynomial of the given degree in the
-    chosen variables, by direct monomial enumeration."""
-    if degree == 0:
-        return Polynomial.constant(n, 1)
-    terms: dict[Monomial, int] = {}
+def _h_monomials(degree: int, indices: tuple[int, ...]):
+    """Exponent maps of the monomials of h_degree over the given indices."""
     for combo in combinations_with_replacement(indices, degree):
         orders: dict[int, int] = {}
         for i in combo:
             orders[i] = orders.get(i, 0) + 1
+        yield orders
+
+
+def h_poly(degree: int, indices: tuple[int, ...], alphabet: str, n: int) -> Polynomial:
+    """Complete homogeneous symmetric polynomial of the given degree in the
+    chosen variables, by direct monomial enumeration."""
+    terms: dict[Monomial, int] = {}
+    for orders in _h_monomials(degree, indices):
         if alphabet == "x":
             m = monomial_from_orders(n, orders, None)
         else:
@@ -297,15 +301,6 @@ def _pair_partner(op: Monomial, g: int, kind: str, n: int) -> int | None:
 # rewriting
 # ---------------------------------------------------------------------------
 
-def _h_monomials(degree: int, indices: tuple[int, ...]):
-    """Exponent maps of the monomials of h_degree over the given indices."""
-    for combo in combinations_with_replacement(indices, degree):
-        orders: dict[int, int] = {}
-        for i in combo:
-            orders[i] = orders.get(i, 0) + 1
-        yield orders
-
-
 def _shift(op: Monomial, dx: dict[int, int], dy: dict[int, int]) -> Monomial | None:
     """op with x-exponents shifted by dx and y by dy (1-based); None if mixed."""
     xe = list(op.xexp)
@@ -330,33 +325,22 @@ def reduce_step(op: Monomial, K: int, L: int) -> list[tuple[int, Monomial]]:
     g = cls.place
     out: list[tuple[int, Monomial]] = []
 
-    if cls.case in (CASE_CROSS_OVERFLOW_Y, CASE_CROSS_OVERFLOW_X):
-        alphabet = "y" if cls.case == CASE_CROSS_OVERFLOW_Y else "x"
+    if cls.case not in (CASE_PAIR_BLOCKED_Y, CASE_PAIR_BLOCKED_X):
+        alphabet = "y" if cls.case in (CASE_CROSS_OVERFLOW_Y, CASE_TAIL_Y) else "x"
         exps = op.yexp if alphabet == "y" else op.xexp
-        crossed = tuple(p + 1 for p in range(g) if exps[p])
-        k = exps[g - 1] - 1
-        # op is a multiple of (product over crossed places) * v_g^k; the
-        # degree-k replacement runs over the crossed places only.
-        for orders in _h_monomials(k, crossed):
+        if cls.case in (CASE_CROSS_OVERFLOW_Y, CASE_CROSS_OVERFLOW_X):
+            # op is a multiple of (product over crossed places) * v_g^k; the
+            # degree-k replacement runs over the crossed places only.
+            window = tuple(p + 1 for p in range(g) if exps[p])
+            k = exps[g - 1] - 1
+        else:
+            window = tuple(range(1, g + 1))
+            k = exps[g - 1]
+        for orders in _h_monomials(k, window):
             if orders.get(g, 0) == k:
                 continue
-            delta_orders = {i: e for i, e in orders.items()}
+            delta_orders = dict(orders)
             delta_orders[g] = delta_orders.get(g, 0) - k
-            shifted = _shift(op,
-                             delta_orders if alphabet == "x" else {},
-                             delta_orders if alphabet == "y" else {})
-            if shifted is not None:
-                out.append((-1, shifted))
-    elif cls.case in (CASE_TAIL_Y, CASE_TAIL_X):
-        alphabet = "y" if cls.case == CASE_TAIL_Y else "x"
-        exps = op.yexp if alphabet == "y" else op.xexp
-        c = exps[g - 1]
-        window = tuple(range(1, g + 1))
-        for orders in _h_monomials(c, window):
-            if orders.get(g, 0) == c:
-                continue
-            delta_orders = {i: e for i, e in orders.items()}
-            delta_orders[g] = delta_orders.get(g, 0) - c
             shifted = _shift(op,
                              delta_orders if alphabet == "x" else {},
                              delta_orders if alphabet == "y" else {})

@@ -6,12 +6,14 @@ function that returns :class:`Check` rows.  It has one of three scopes:
 * ``HOOK``: ``rows(ctx)`` for every hook mu = (K+1, 1^L) with n <= bound;
   ``ctx`` is the :class:`HookContext` that the criteria of one hook share;
 * ``PARTITION``: ``rows(mu)`` for every partition mu of n <= bound;
+  ``rows(mu, limit=N)`` raises the drawing size limit;
 * ``ONCE``: ``rows(bound)``; a bound of None marks fixed inputs.
 
 :func:`run` is hook-major: it runs every hook criterion on one hook, drops
 that hook's context, and moves on to the next hook.  The other criteria
 follow in registry order.  ``ghbasis suite`` and the acceptance tests both
-iterate :data:`REGISTRY`.
+iterate :data:`REGISTRY`; the per-object commands of ``ghbasis`` print the
+rows of single criteria.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .annihilator import annihilates, generators, normal_form, proposition_insta
 from .delta import build_delta
 from .errors import RewriteDefectError
 from .hooks import (
+    DEFAULT_LIMIT as HOOK_LIMIT,
     closed_form_count,
     descendant_graph,
     diagram_of_monomial,
@@ -40,6 +43,7 @@ from .hooks import (
 from .linalg import derivative_closure, homogeneous_family_rank
 from .partitions import conjugate_factorial, hook_partition, partitions_of
 from .poly import Monomial, apply_diff, format_monomial, format_poly, parse_poly
+from .zerox import DEFAULT_LIMIT as BAR_LIMIT
 from .zerox import corner_recursion_check, count_check, verify_zero_x_degree_basis
 
 HOOK = "hook"
@@ -83,30 +87,38 @@ class Criterion:
 
 
 class HookContext:
-    """Work shared by the criteria of one hook, computed on first use."""
+    """Work shared by the criteria of one hook, computed on first use.
 
-    def __init__(self, K: int, L: int):
+    ``limit`` is the size limit on n passed to every enumeration.
+    """
+
+    def __init__(self, K: int, L: int, limit: int = HOOK_LIMIT):
         self.K = K
         self.L = L
         self.n = K + L + 1
+        self.limit = limit
         self.name = f"hooks({K},{L})"
 
     @cached_property
     def delta(self):
-        return build_delta(hook_partition(self.K, self.L))
+        return build_delta(hook_partition(self.K, self.L), limit=self.limit)
 
     @cached_property
     def drawings(self):
-        return enumerate_drawings(self.K, self.L)
+        return enumerate_drawings(self.K, self.L, limit=self.limit)
 
     @cached_property
     def closure_table(self) -> dict[tuple[int, int], int]:
         return derivative_closure(self.delta)[1]
 
     @cached_property
+    def quotient(self):
+        return quotient_hilbert(self.K, self.L, limit=self.limit)
+
+    @cached_property
     def son_graph(self):
         """(drawings, son edges by index, acyclic flag)."""
-        return descendant_graph(self.K, self.L, self.delta)
+        return descendant_graph(self.K, self.L, self.delta, limit=self.limit)
 
 
 def bounded_operators(n: int, bx: int, by: int):
@@ -146,7 +158,7 @@ def _closure_dim(ctx: HookContext) -> list[Check]:
 
 
 def _quotient(ctx: HookContext) -> list[Check]:
-    qt = quotient_hilbert(ctx.K, ctx.L)
+    qt = ctx.quotient
     return [Check(f"{ctx.name} quotient total", factorial(ctx.n), qt.total),
             Check(f"{ctx.name} tables agree", True, qt.table == ctx.closure_table),
             Check(f"{ctx.name} shell vanishes", True, qt.shell_zero)]
@@ -206,17 +218,34 @@ def _flip_involution(ctx: HookContext) -> list[Check]:
 # per-partition and single criteria
 # ---------------------------------------------------------------------------
 
-def _bar_count(mu) -> list[Check]:
-    count, _ = count_check(mu)
+def _bar_count(mu, limit: int = BAR_LIMIT) -> list[Check]:
+    count, _ = count_check(mu, limit=limit)
     return [Check(f"zerox count {mu}", factorial(mu.n) // conjugate_factorial(mu), count)]
 
 
+def bar_basis_properties(mu, limit: int = BAR_LIMIT) -> list[Check]:
+    """One row per property of the x-degree-0 and top-x-degree bases of mu."""
+    r = verify_zero_x_degree_basis(mu, build_delta(mu), limit=limit)
+    expected = factorial(mu.n) // conjugate_factorial(mu)
+    name = f"zerox basis {mu}"
+    return [Check(f"{name} drawing count = n!/mu'!", expected, r["count"]),
+            Check(f"{name} images have x-degree 0", True, r["x_degree_zero_ok"]),
+            Check(f"{name} white images have top x-degree", True, r["x_degree_top_ok"]),
+            Check(f"{name} minimal-monomial triangularity", True, r["triangularity_ok"]),
+            Check(f"{name} distinct minimal monomials", True, r["distinct_minimal_monomials"]),
+            Check(f"{name} rank of cross images", expected, r["rank_s"]),
+            Check(f"{name} rank of white images", expected, r["rank_t"]),
+            Check(f"{name} closure x-degree-0 slice", expected, r["dim_zero_slice"])]
+
+
 def _bar_bases(mu) -> list[Check]:
-    r = verify_zero_x_degree_basis(mu, build_delta(mu))
-    ok = (r["count_ok"] and r["triangularity_ok"] and r["distinct_minimal_monomials"]
-          and r["rank_ok"] and r["dim_zero_slice_ok"] and r["x_degree_zero_ok"]
-          and r["x_degree_top_ok"])
+    ok = all(row.passed for row in bar_basis_properties(mu))
     return [Check(f"zerox basis {mu}", True, ok)]
+
+
+def corner_identity(mu) -> list[Check]:
+    """The corner recursion for one partition (A8d checks every partition of each n)."""
+    return [Check("corner recursion identity", True, corner_recursion_check(mu))]
 
 
 def _corner_recursion(nmax: int) -> list[Check]:

@@ -16,10 +16,10 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from math import factorial
 
-from .annihilator import generators, annihilates, normal_form, proposition_instances, quotient_hilbert
-from .checks import Check, criterion, run as run_checks
+from .annihilator import normal_form
+from .checks import Check, HookContext, bar_basis_properties, corner_identity, criterion
+from .checks import run as run_checks
 from .delta import build_delta
 from .errors import (
     NotAHookError,
@@ -28,11 +28,9 @@ from .errors import (
     RewriteDefectError,
     SizeLimitError,
 )
-from .hooks import descendant_graph, enumerate_drawings, closed_form_count, s_monomial
-from .linalg import derivative_closure, homogeneous_family_rank
+from .hooks import s_monomial
 from .partitions import hook_partition, parse_partition
-from .poly import apply_diff, format_poly, format_monomial, parse_poly
-from .zerox import count_check, corner_recursion_check, verify_zero_x_degree_basis
+from .poly import format_poly, format_monomial, parse_poly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,6 +43,8 @@ class UsageError(ValueError):
 
 
 _INPUT_ERRORS = (PartitionError, PolynomialSyntaxError, NotAHookError, UsageError)
+_VERDICTS = {EXIT_OK: "ok", EXIT_CHECK_FAILED: "FAILED", EXIT_USAGE: "usage error",
+             EXIT_SIZE_LIMIT: "size limit exceeded"}
 
 
 @dataclass
@@ -55,10 +55,11 @@ class Report:
     runtime_ms: int = 0
     seed: int = 0
     extra_lines: list[str] = field(default_factory=list)
+    status: int = EXIT_OK
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return self.status == EXIT_OK
 
     def to_json(self) -> str:
         payload = {
@@ -75,7 +76,7 @@ class Report:
         for c in self.checks:
             mark = "PASS" if c.passed else "FAIL"
             lines.append(f"[{mark}] {c.name}: expected {c.expected}, got {c.actual}")
-        lines.append(f"{self.command}: {'ok' if self.ok else 'FAILED'} "
+        lines.append(f"{self.command}: {_VERDICTS[self.status]} "
                      f"({len(self.checks)} checks, {self.runtime_ms} ms, seed {self.seed})")
         return "\n".join(lines)
 
@@ -152,91 +153,60 @@ def _cmd_delta(args, report: Report) -> None:
     report.checks.append(Check("delta", text, text))
 
 
+# The registry criteria whose rows each per-hook subcommand prints.
+_HOOK_CRITERIA = {
+    "enumerate": ("A1",),
+    "verify-basis": ("A2",),
+    "verify-dim": ("A3",),
+    "descendants": ("A7b", "A7c"),
+    "verify": ("A5a", "A5b"),
+    "quotient-dim": ("A6",),
+}
+
+
 def _cmd_hooks(args, report: Report) -> None:
-    mu = _capped(hook_partition(args.k, args.l), args)
-    K, L, n = args.k, args.l, mu.n
-    if args.subcommand == "enumerate":
-        drawings = enumerate_drawings(K, L, limit=args.limit_n)
-        if args.list_drawings:
-            for d in drawings:
-                report.extra_lines.append(json.dumps(d.to_json_dict()))
-        report.checks.append(Check("drawing count = n!", factorial(n), len(drawings)))
-        report.checks.append(Check("closed-form count = n!", factorial(n),
-                                   closed_form_count(K, L)))
-    elif args.subcommand == "verify-dim":
-        delta = build_delta(mu)
-        dim, _ = derivative_closure(delta)
-        report.checks.append(Check("dim M_mu", factorial(n), dim))
-    elif args.subcommand == "verify-basis":
-        delta = build_delta(mu)
-        drawings = enumerate_drawings(K, L, limit=args.limit_n)
-        images = [apply_diff(s_monomial(d, n), delta.value) for d in drawings]
-        report.checks.append(Check("rank of drawing images", factorial(n),
-                                   homogeneous_family_rank(images)))
+    """hooks and ideal subcommands: one HookContext, rows from the registry."""
+    _capped(hook_partition(args.k, args.l), args)
+    ctx = HookContext(args.k, args.l, limit=args.limit_n)
+    if args.subcommand == "normal-form":
+        _normal_form(args, ctx, report)
+        return
+    for label in _HOOK_CRITERIA[args.subcommand]:
+        crit = criterion(label)
+        if label == "A5b" and ctx.n > crit.full:  # as in `suite --level full`
+            report.extra_lines.append(f"{crit.describe('full')}: not run at n = {ctx.n}")
+            continue
+        report.checks.extend(crit.rows(ctx))
+    if args.subcommand == "enumerate" and args.list_drawings:
+        report.extra_lines.extend(json.dumps(d.to_json_dict()) for d in ctx.drawings)
     elif args.subcommand == "descendants":
-        delta = build_delta(mu)
-        _, edges, acyclic = descendant_graph(K, L, delta, limit=args.limit_n)
-        report.checks.append(Check("descendant graph acyclic", True, acyclic))
+        edges = ctx.son_graph[1]
         report.extra_lines.append(
             f"{sum(len(v) for v in edges.values())} son edges over {len(edges)} drawings")
-
-
-def _cmd_ideal(args, report: Report) -> None:
-    mu = _capped(hook_partition(args.k, args.l), args)
-    K, L, n = args.k, args.l, mu.n
-    delta = build_delta(mu)
-    if args.subcommand == "verify":
-        gens = generators(K, L)
-        bad = [tag for tag, p in gens.entries if not annihilates(p, delta)]
-        report.checks.append(Check("generators annihilating Delta", len(gens), len(gens) - len(bad)))
-        if n <= criterion("A5b").full:
-            for which in (1, 2, 3, 4):
-                seen = ok = 0
-                for inst in proposition_instances(n, K, L, which):
-                    seen += 1
-                    ok += annihilates(inst, delta)
-                report.checks.append(Check(f"schema-{which} instances annihilating", seen, ok))
     elif args.subcommand == "quotient-dim":
-        qt = quotient_hilbert(K, L, limit=args.limit_n)
-        report.checks.append(Check("quotient total", factorial(n), qt.total))
-        report.checks.append(Check("shell dimensions vanish", True, qt.shell_zero))
-        _, closure_table = derivative_closure(delta)
-        report.checks.append(Check("graded table matches derivative closure", True,
-                                   qt.table == closure_table))
-        for (a, b), v in sorted(qt.table.items()):
-            report.extra_lines.append(f"dim at bidegree ({a},{b}): {v}")
-    elif args.subcommand == "normal-form":
-        poly = parse_poly(args.op, n=n)
-        if len(poly.terms) != 1 or next(iter(poly.terms.values())) != 1:
-            raise UsageError("--op must be a single monic monomial")
-        op = next(iter(poly.terms))
-        nf = normal_form(op, K, L, delta=delta, validate=True)
-        for d, c in sorted(nf.items(), key=lambda item: format_monomial(s_monomial(item[0], n))):
-            report.extra_lines.append(f"{c} * d[{format_monomial(s_monomial(d, n)) or '1'}]")
-        report.checks.append(Check("normal form applies back to op(d)Delta", True, True))
-        report.extra_lines.append(f"{len(nf)} drawing terms")
+        report.extra_lines.extend(f"dim at bidegree ({a},{b}): {v}"
+                                  for (a, b), v in sorted(ctx.quotient.table.items()))
+
+
+def _normal_form(args, ctx: HookContext, report: Report) -> None:
+    n = ctx.n
+    poly = parse_poly(args.op, n=n)
+    if len(poly.terms) != 1 or next(iter(poly.terms.values())) != 1:
+        raise UsageError("--op must be a single monic monomial")
+    op = next(iter(poly.terms))
+    nf = normal_form(op, ctx.K, ctx.L, delta=ctx.delta, validate=True)
+    for d, c in sorted(nf.items(), key=lambda item: format_monomial(s_monomial(item[0], n))):
+        report.extra_lines.append(f"{c} * d[{format_monomial(s_monomial(d, n)) or '1'}]")
+    report.checks.append(Check("normal form applies back to op(d)Delta", True, True))
+    report.extra_lines.append(f"{len(nf)} drawing terms")
 
 
 def _cmd_zerox(args, report: Report) -> None:
     mu = _capped(parse_partition(args.partition), args)
     if args.subcommand == "count":
-        count, expected = count_check(mu, limit=args.limit_n)
-        report.checks.append(Check("drawing count = n!/mu'!", expected, count))
-        report.checks.append(Check("corner recursion identity", True,
-                                   corner_recursion_check(mu)))
+        report.checks.extend(criterion("A8a").rows(mu, limit=args.limit_n) + corner_identity(mu))
     else:
-        delta = build_delta(mu)
-        result = verify_zero_x_degree_basis(mu, delta, limit=args.limit_n)
-        expected = result["expected"]
-        report.checks.append(Check("drawing count = n!/mu'!", expected, result["count"]))
-        report.checks.append(Check("images have x-degree 0", True, result["x_degree_zero_ok"]))
-        report.checks.append(Check("white images have top x-degree", True, result["x_degree_top_ok"]))
-        report.checks.append(Check("minimal-monomial triangularity", True, result["triangularity_ok"]))
-        report.checks.append(Check("distinct minimal monomials", True,
-                                   result["distinct_minimal_monomials"]))
-        report.checks.append(Check("rank of cross images", expected, result["rank_s"]))
-        report.checks.append(Check("rank of white images", expected, result["rank_t"]))
-        report.checks.append(Check("closure x-degree-0 slice", expected, result["dim_zero_slice"]))
+        report.checks.extend(bar_basis_properties(mu, limit=args.limit_n))
 
 
 def _cmd_suite(args, report: Report) -> None:
@@ -247,7 +217,7 @@ def _cmd_suite(args, report: Report) -> None:
 _COMMANDS = {
     "delta": _cmd_delta,
     "hooks": _cmd_hooks,
-    "ideal": _cmd_ideal,
+    "ideal": _cmd_hooks,
     "zerox": _cmd_zerox,
     "suite": _cmd_suite,
 }
@@ -274,7 +244,8 @@ def _run_parsed(args) -> tuple[Report, int]:
         report.checks.append(Check("rewriting defect", None, str(exc)))
     report.runtime_ms = int((time.monotonic() - started) * 1000)
     if status is None:
-        status = EXIT_OK if report.ok else EXIT_CHECK_FAILED
+        status = EXIT_OK if all(c.passed for c in report.checks) else EXIT_CHECK_FAILED
+    report.status = status
     return report, status
 
 

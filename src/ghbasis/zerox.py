@@ -39,8 +39,14 @@ class GeneralDrawing:
         return self.mu.n
 
 
-def _bar_multiset(mu: Partition) -> list[tuple[int, int]]:
-    return [b.as_pair() for b in biexponents(mu) if b.as_pair() != (0, 0)]
+def _bar_groups(mu: Partition) -> dict[int, list[tuple[int, int]]]:
+    """The (n_x, n_y) bars of mu grouped by n_x, each group in the
+    decreasing n_y order that rule 1 pins."""
+    bars = [b.as_pair() for b in biexponents(mu) if b.as_pair() != (0, 0)]
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for bar in sorted(bars, key=lambda bar: -bar[1]):
+        groups.setdefault(bar[0], []).append(bar)
+    return groups
 
 
 def _bar_orders(mu: Partition):
@@ -50,11 +56,7 @@ def _bar_orders(mu: Partition):
     their relative order, so the orders are exactly the distinct shuffles of
     the n_x groups.
     """
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for bar in _bar_multiset(mu):
-        groups.setdefault(bar[0], []).append(bar)
-    for nx in groups:
-        groups[nx].sort(key=lambda bar: -bar[1])
+    groups = _bar_groups(mu)
     keys = sorted(groups)
     counts = {nx: len(groups[nx]) for nx in keys}
     total = sum(counts.values())
@@ -171,11 +173,7 @@ def reconstruct_general(part: Monomial, from_s: bool, mu: Partition) -> GeneralD
 
 def _reconstruct_from_s(part: Monomial, mu: Partition) -> GeneralDrawing:
     n = mu.n
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for bar in _bar_multiset(mu):
-        groups.setdefault(bar[0], []).append(bar)
-    for nx in groups:
-        groups[nx].sort(key=lambda bar: -bar[1])
+    groups = _bar_groups(mu)
     taken = {nx: 0 for nx in groups}
     bars = []
     for place in range(n - 1):
@@ -199,11 +197,7 @@ def _reconstruct_from_t(part: Monomial, mu: Partition) -> GeneralDrawing:
         raise NoPreimageError("a white diagram has no x-entries")
     n = mu.n
     whites = part.yexp
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for bar in _bar_multiset(mu):
-        groups.setdefault(bar[0], []).append(bar)
-    for nx in groups:
-        groups[nx].sort(key=lambda bar: -bar[1])
+    groups = _bar_groups(mu)
     solutions: list[tuple[tuple[int, int, int], ...]] = []
 
     def extend(place, taken, bars):
@@ -252,8 +246,10 @@ def _rules_ok(d: GeneralDrawing) -> bool:
 def check_minimal_monomials(d: GeneralDrawing, delta: DeltaPolynomial) -> bool:
     """True iff min(dS.Delta) = M_T and min(dT.Delta) = M_S."""
     s, t = split_general(d)
-    image_s = apply_diff(s, delta.value)
-    image_t = apply_diff(t, delta.value)
+    return _minimal_monomials_ok(s, t, apply_diff(s, delta.value), apply_diff(t, delta.value))
+
+
+def _minimal_monomials_ok(s: Monomial, t: Monomial, image_s, image_t) -> bool:
     if image_s.is_zero() or image_t.is_zero():
         return False
     return min_monomial(image_s) == t and min_monomial(image_t) == s
@@ -283,7 +279,7 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
             xdeg_zero = False
         if pt.is_zero() or any(m.xdeg() != n_mu for m in pt.terms):
             xdeg_top = False
-        if not check_minimal_monomials(d, delta):
+        if not _minimal_monomials_ok(s, t, ps, pt):
             triangular = False
 
     rank_s = homogeneous_family_rank(s_images)

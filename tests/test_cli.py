@@ -6,6 +6,7 @@ import pytest
 from ghbasis import checks, cli
 from ghbasis.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE, main, run
 from ghbasis.errors import RewriteDefectError
+from ghbasis.partitions import Partition
 
 SMOKE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "smoke_reference.json"
 
@@ -33,7 +34,7 @@ def test_verify_dim_json(capsys):
     payload = json.loads(out)
     assert payload["command"] == "hooks verify-dim"
     assert payload["checks"] == [
-        {"name": "dim M_mu", "expected": 6, "actual": 6, "pass": True}]
+        {"name": "hooks(1,1) dim M_mu", "expected": 6, "actual": 6, "pass": True}]
     assert set(payload) == {"command", "params", "checks", "runtime_ms", "seed"}
 
 
@@ -84,6 +85,10 @@ def test_size_limit_exit_code(capsys):
     assert main(["delta", "--partition", "2,1", "--limit-n", "2"]) == EXIT_SIZE_LIMIT
     assert main(["delta", "--partition", "2,1", "--limit-n", "3"]) == EXIT_OK
     capsys.readouterr()
+    # The closing line of a stopped report gives the exit status, not "ok".
+    assert main(["delta", "--partition", "2,2,2,2"]) == EXIT_SIZE_LIMIT
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("delta: size limit exceeded (0 checks") and "ok" not in last
 
 
 def test_check_failed_exit_code(monkeypatch):
@@ -93,6 +98,59 @@ def test_check_failed_exit_code(monkeypatch):
     assert status == EXIT_CHECK_FAILED
     failed = [c.name for c in report.checks if not c.passed]
     assert failed and all(name.endswith(" closed form") for name in failed)
+
+
+HOOK = checks.HookContext(1, 2)
+BARS = Partition((2, 2, 1))
+
+# Each per-object command and the registry rows it must print.
+PER_OBJECT = {
+    "hooks enumerate": lambda: checks.criterion("A1").rows(HOOK),
+    "hooks verify-basis": lambda: checks.criterion("A2").rows(HOOK),
+    "hooks verify-dim": lambda: checks.criterion("A3").rows(HOOK),
+    "hooks descendants": lambda: (checks.criterion("A7b").rows(HOOK)
+                                  + checks.criterion("A7c").rows(HOOK)),
+    "ideal verify": lambda: (checks.criterion("A5a").rows(HOOK)
+                             + checks.criterion("A5b").rows(HOOK)),
+    "ideal quotient-dim": lambda: checks.criterion("A6").rows(HOOK),
+    "zerox count": lambda: checks.criterion("A8a").rows(BARS) + checks.corner_identity(BARS),
+    "zerox verify": lambda: checks.bar_basis_properties(BARS),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PER_OBJECT))
+def test_per_object_command_prints_registry_rows(command, capsys):
+    target = ["--partition", "2,2,1"] if command.startswith("zerox") else ["--k", "1", "--l", "2"]
+    status = main(command.split() + target + ["--output", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert status == EXIT_OK
+    assert payload["checks"] == [row.to_dict() for row in PER_OBJECT[command]()]
+
+
+def test_zerox_verify_rows_fold_into_the_suite_row():
+    rows = checks.bar_basis_properties(BARS)
+    assert len(rows) == 8 and all(row.passed for row in rows)
+    assert checks.criterion("A8b/A8c").rows(BARS) == [checks.Check("zerox basis 2,2,1", True, True)]
+
+
+def test_per_object_command_uses_the_registry(monkeypatch):
+    # Negative control: a wrong closed form in the registry fails `hooks enumerate`.
+    monkeypatch.setattr(checks, "closed_form_count", lambda K, L: 0)
+    report, status = run(["hooks", "enumerate", "--k", "1", "--l", "1"])
+    assert status == EXIT_CHECK_FAILED
+    assert [c.name for c in report.checks if not c.passed] == ["hooks(1,1) closed form"]
+
+
+def test_ideal_verify_notes_schema_rows_above_their_bound(capsys):
+    bound = checks.criterion("A5b").full
+    status = main(["ideal", "verify", "--k", "3", "--l", "2", "--limit-n", "6"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == EXIT_OK and bound < 6
+    notes = [line for line in lines if "A5b" in line]
+    assert notes == [f"{checks.criterion('A5b').describe('full')}: not run at n = 6"]
+    assert f"n <= {bound}" in notes[0]
+    assert [line for line in lines if line.startswith("[")] == [
+        "[PASS] hooks(3,2) generators annihilate: expected 53, got 53"]
 
 
 def test_rewrite_defect_is_a_failed_check(monkeypatch):
