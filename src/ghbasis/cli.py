@@ -4,9 +4,10 @@ Subcommands: delta, hooks {enumerate, verify-dim, verify-basis, descendants},
 ideal {verify, quotient-dim, normal-form}, zerox {count, verify}, suite.
 Every run emits a report: text by default, or JSON of the shape
 {"command", "params", "checks": [{"name", "expected", "actual", "pass"}],
-"runtime_ms", "seed"}; the exit status is 0 iff every check passes, 2 for
-usage errors and input that names no valid object (a one-line message on
-stderr), 3 when a size limit is exceeded.
+"runtime_ms", "seed"}, plus "error" (the one-line reason) when the command
+stopped; the exit status is 0 iff every check passes, 2 for usage errors and
+input that names no valid object (a one-line message on stderr), 3 when a
+size limit is exceeded.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ class Report:
     seed: int = 0
     extra_lines: list[str] = field(default_factory=list)
     status: int = EXIT_OK
+    error: str | None = None  # why the command stopped, if it did
 
     @property
     def ok(self) -> bool:
@@ -69,10 +71,14 @@ class Report:
             "runtime_ms": self.runtime_ms,
             "seed": self.seed,
         }
+        if self.error is not None:
+            payload["error"] = self.error
         return json.dumps(payload, sort_keys=False)
 
     def to_text(self) -> str:
         lines = list(self.extra_lines)
+        if self.error is not None:
+            lines.append(self.error)
         for c in self.checks:
             mark = "PASS" if c.passed else "FAIL"
             lines.append(f"[{mark}] {c.name}: expected {c.expected}, got {c.actual}")
@@ -180,7 +186,7 @@ def _cmd_hooks(args, report: Report) -> None:
     if args.subcommand == "enumerate" and args.list_drawings:
         report.extra_lines.extend(json.dumps(d.to_json_dict()) for d in ctx.drawings)
     elif args.subcommand == "descendants":
-        edges = ctx.son_graph[1]
+        edges = ctx.son_edges
         report.extra_lines.append(
             f"{sum(len(v) for v in edges.values())} son edges over {len(edges)} drawings")
     elif args.subcommand == "quotient-dim":
@@ -235,10 +241,10 @@ def _run_parsed(args) -> tuple[Report, int]:
     try:
         _COMMANDS[args.command](args, report)
     except SizeLimitError as exc:
-        report.extra_lines.append(f"size limit: {exc}")
+        report.error = f"size limit: {exc}"
         status = EXIT_SIZE_LIMIT
     except _INPUT_ERRORS as exc:
-        report.extra_lines.append(f"error: {exc}")
+        report.error = f"error: {exc}"
         status = EXIT_USAGE
     except RewriteDefectError as exc:
         report.checks.append(Check("rewriting defect", None, str(exc)))
@@ -262,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if code not in (0, None) else 0
     report, status = _run_parsed(args)
     if status == EXIT_USAGE:
-        print(f"ghbasis {report.command}: {report.extra_lines[-1]}", file=sys.stderr)
+        print(f"ghbasis {report.command}: {report.error}", file=sys.stderr)
     elif args.output == "json":
         print(report.to_json())
     else:

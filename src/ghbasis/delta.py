@@ -73,21 +73,3 @@ def _perm_sign(sigma: tuple[int, ...]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def swap_variable_pair(p: Polynomial, i: int, j: int) -> Polynomial:
-    """Exchange (x_i, y_i) <-> (x_j, y_j); indices are 1-based."""
-    out: dict[Monomial, int] = {}
-    a, b = i - 1, j - 1
-    for m, c in p.terms.items():
-        xe = list(m.xexp)
-        ye = list(m.yexp)
-        xe[a], xe[b] = xe[b], xe[a]
-        ye[a], ye[b] = ye[b], ye[a]
-        out[Monomial(tuple(xe), tuple(ye))] = c
-    return Polynomial(p.n, out)
-
-
-def swap_alphabets(p: Polynomial) -> Polynomial:
-    """Exchange the x and y alphabets wholesale."""
-    return Polynomial(p.n, {Monomial(m.yexp, m.xexp): c for m, c in p.terms.items()})

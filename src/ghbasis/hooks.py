@@ -19,12 +19,13 @@ and either half of the cross/white split determines the drawing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, product
 from math import comb, factorial
 
 from .delta import DeltaPolynomial
 from .errors import InvariantError, NoPreimageError, SizeLimitError
-from .poly import Monomial, apply_diff
+from .poly import Monomial, Polynomial, apply_diff
 
 DEFAULT_LIMIT = 7
 
@@ -281,7 +282,7 @@ def reconstruct(part: CrossDiagram, from_s: bool, K: int, L: int) -> HookDrawing
 
 def is_son(parent: HookDrawing, candidate: HookDrawing, delta: DeltaPolynomial) -> bool:
     """True iff applying the candidate's crosses then the parent's whites to
-    Delta leaves a nonzero constant."""
+    Delta leaves a nonzero constant: the definition of a son (see son_edges)."""
     if parent == candidate:
         raise ValueError("son relation requires two different drawings")
     n = delta.n
@@ -290,35 +291,42 @@ def is_son(parent: HookDrawing, candidate: HookDrawing, delta: DeltaPolynomial) 
     return image.is_constant() and not image.is_zero()
 
 
+def cross_images(drawings: list[HookDrawing], delta: DeltaPolynomial) -> list[Polynomial]:
+    """The image of Delta under each drawing's cross operator, in drawing order."""
+    return [apply_diff(s_monomial(d, delta.n), delta.value) for d in drawings]
+
+
+def son_edges(drawings: list[HookDrawing], images: list[Polynomial]) -> dict[int, list[int]]:
+    """edges[i]: every j != i, ascending, whose drawing is a son of drawing i.
+
+    images[j] is f = d^{S_j} Delta, the cross image of drawing j; T_i is the
+    white half of drawing i.  d^T sends a term m to a nonzero multiple of m/T
+    if T divides m and kills it otherwise.  Delta is bihomogeneous, so all
+    terms of f share one bidegree: if T has it, d^T f = T! * [T]f (d^T T =
+    T!); if not, d^T f is zero or a sum of non-constant terms.  So drawing j
+    is a son of drawing i (is_son) exactly when T_i is in the support of f.
+    """
+    by_white = {t_monomial(d, f.n): i for i, (d, f) in enumerate(zip(drawings, images))}
+    edges: dict[int, list[int]] = {i: [] for i in range(len(drawings))}
+    for j, f in enumerate(images):
+        for m in f.terms:
+            i = by_white.get(m)
+            if i is not None and i != j:
+                edges[i].append(j)
+    return edges
+
+
 def descendant_graph(K: int, L: int, delta: DeltaPolynomial,
                      limit: int = DEFAULT_LIMIT) -> tuple[list[HookDrawing], dict[int, list[int]], bool]:
     """(drawings, son edges by index, acyclic flag)."""
     drawings = enumerate_drawings(K, L, limit=limit)
-    n = delta.n
-    s_images = [apply_diff(s_monomial(d, n), delta.value) for d in drawings]
-    t_monos = [t_monomial(d, n) for d in drawings]
-    edges: dict[int, list[int]] = {i: [] for i in range(len(drawings))}
-    for i in range(len(drawings)):
-        for j in range(len(drawings)):
-            if i == j:
-                continue
-            image = apply_diff(t_monos[i], s_images[j])
-            if image.is_constant() and not image.is_zero():
-                edges[i].append(j)
-    return drawings, edges, _is_acyclic(edges)
+    edges = son_edges(drawings, cross_images(drawings, delta))
+    return drawings, edges, is_acyclic(edges)
 
 
-def _is_acyclic(edges: dict[int, list[int]]) -> bool:
-    state = {v: 0 for v in edges}  # 0 new, 1 active, 2 done
-
-    def dfs(v: int) -> bool:
-        state[v] = 1
-        for w in edges[v]:
-            if state[w] == 1:
-                return False
-            if state[w] == 0 and not dfs(w):
-                return False
-        state[v] = 2
-        return True
-
-    return all(state[v] == 2 or dfs(v) for v in state)
+def is_acyclic(edges: dict[int, list[int]]) -> bool:
+    try:
+        tuple(TopologicalSorter(edges).static_order())
+    except CycleError:
+        return False
+    return True

@@ -118,14 +118,6 @@ def hook_params(mu: Partition) -> HookParams:
     return HookParams(K=mu.parts[0] - 1, L=len(mu.parts) - 1)
 
 
-def is_hook(mu: Partition) -> bool:
-    try:
-        hook_params(mu)
-        return True
-    except NotAHookError:
-        return False
-
-
 def hook_partition(K: int, L: int) -> Partition:
     """The hook (K+1, 1^L)."""
     if K < 0 or L < 0:

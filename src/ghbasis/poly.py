@@ -130,27 +130,12 @@ class Polynomial:
     def monomial(cls, m: Monomial, c: int = 1) -> "Polynomial":
         return cls(m.n, {m: c})
 
-    @classmethod
-    def variable(cls, alphabet: str, index: int, n: int) -> "Polynomial":
-        if alphabet == "x":
-            return cls.monomial(monomial_from_orders(n, {index: 1}, None))
-        if alphabet == "y":
-            return cls.monomial(monomial_from_orders(n, None, {index: 1}))
-        raise ValueError(f"unknown alphabet {alphabet!r}")
-
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and next(iter(self.terms)).is_unit())
-
-    def constant_value(self) -> int:
-        if self.is_zero():
-            return 0
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
 
     def xdeg(self) -> int:
         return max((m.xdeg() for m in self.terms), default=0)

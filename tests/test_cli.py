@@ -75,6 +75,12 @@ def test_usage_error_exit_code(capsys):
         assert captured.out == "", argv
         assert len(captured.err.splitlines()) == 1, (argv, captured.err)
         assert "Traceback" not in captured.err, argv
+    # The JSON form of a stopped report carries the same one line.
+    report, status = run(BAD_INPUT[0] + ["--output", "json"])
+    error = json.loads(report.to_json())["error"]
+    assert status == EXIT_USAGE and error.startswith("error: ")
+    main(BAD_INPUT[0])
+    assert capsys.readouterr().err == f"ghbasis delta: {error}\n"
 
 
 def test_size_limit_exit_code(capsys):
@@ -89,6 +95,13 @@ def test_size_limit_exit_code(capsys):
     assert main(["delta", "--partition", "2,2,2,2"]) == EXIT_SIZE_LIMIT
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("delta: size limit exceeded (0 checks") and "ok" not in last
+    # A stopped JSON report says why; a report that ran has no "error" field.
+    assert main(["delta", "--partition", "2,2,2,2", "--output", "json"]) == EXIT_SIZE_LIMIT
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"] == []
+    assert payload["error"] == "size limit: n = 8 exceeds --limit-n = 7"
+    assert main(["delta", "--partition", "2,1", "--output", "json"]) == EXIT_OK
+    assert "error" not in json.loads(capsys.readouterr().out)
 
 
 def test_check_failed_exit_code(monkeypatch):

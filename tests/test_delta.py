@@ -1,10 +1,28 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghbasis.delta import build_delta, swap_alphabets, swap_variable_pair
+from ghbasis.delta import build_delta
 from ghbasis.errors import SizeLimitError
 from ghbasis.partitions import Partition, conjugate, n_stat, partitions_of
-from ghbasis.poly import apply_diff, parse_poly
+from ghbasis.poly import Monomial, Polynomial, apply_diff, parse_poly
+
+
+def swap_variable_pair(p: Polynomial, i: int, j: int) -> Polynomial:
+    """Exchange (x_i, y_i) <-> (x_j, y_j); indices are 1-based."""
+    out: dict[Monomial, int] = {}
+    a, b = i - 1, j - 1
+    for m, c in p.terms.items():
+        xe = list(m.xexp)
+        ye = list(m.yexp)
+        xe[a], xe[b] = xe[b], xe[a]
+        ye[a], ye[b] = ye[b], ye[a]
+        out[Monomial(tuple(xe), tuple(ye))] = c
+    return Polynomial(p.n, out)
+
+
+def swap_alphabets(p: Polynomial) -> Polynomial:
+    """Exchange the x and y alphabets wholesale."""
+    return Polynomial(p.n, {Monomial(m.yexp, m.xexp): c for m, c in p.terms.items()})
 
 
 def test_vandermonde_specializations():

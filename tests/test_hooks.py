@@ -1,23 +1,28 @@
+from collections import Counter
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghbasis.checks import flip_dual
+from ghbasis import checks, hooks
+from ghbasis.checks import HookContext, flip_dual
 from ghbasis.delta import build_delta
 from ghbasis.errors import NoPreimageError
 from ghbasis.hooks import (
     CrossDiagram,
     closed_form_count,
+    cross_images,
     descendant_graph,
     diagram_of_monomial,
     diff_op_of,
     enumerate_drawings,
     flip,
+    is_acyclic,
     is_son,
     is_valid_drawing,
     reconstruct,
     s_monomial,
+    son_edges,
     split,
     t_monomial,
 )
@@ -219,3 +224,48 @@ def test_flip_dual_rejects_a_broken_graph():
                 if (index[flip(drawings[j])], index[flip(drawings[i])]) != (i, j))
     edges[i] = [s for s in edges[i] if s != j]
     assert not flip_dual(drawings, edges)
+
+
+def test_support_rule_needs_distinct_drawings():
+    # Negative control: each drawing's white half is in the support of its own
+    # cross image, so only the i != j exclusion keeps self-loops out.
+    for K, L in hooks_up_to(4):
+        drawings = enumerate_drawings(K, L)
+        images = cross_images(drawings, build_delta(hook_partition(K, L)))
+        assert all(t_monomial(d, K + L + 1) in f.terms for d, f in zip(drawings, images))
+        assert all(i not in sons for i, sons in son_edges(drawings, images).items())
+
+
+def test_is_acyclic_rejects_cycles():
+    assert is_acyclic({0: [1], 1: [], 2: [0, 1]})
+    assert not is_acyclic({0: [0]})
+    assert not is_acyclic({0: [1], 1: [0]})
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(5)))
+def test_registry_son_graph_matches_descendant_graph(K, L):
+    ctx = HookContext(K, L)
+    drawings, edges, _ = descendant_graph(K, L, ctx.delta)
+    assert ctx.drawings == drawings
+    assert list(ctx.son_edges.items()) == list(edges.items())
+
+
+def test_each_hook_enumerates_and_differentiates_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(hooks, "apply_diff", counting("apply_diff", hooks.apply_diff))
+    enumerate_counted = counting("enumerate_drawings", hooks.enumerate_drawings)
+    for module in (hooks, checks):
+        monkeypatch.setattr(module, "enumerate_drawings", enumerate_counted)
+    smoke_hooks = list(hooks_up_to(checks.criterion("A7b").smoke))
+    checks.run("smoke", [checks.criterion(label) for label in ("A2", "A7b", "A7c")])
+    assert calls["apply_diff"] == sum(factorial(K + L + 1) for K, L in smoke_hooks) == 119
+    calls.clear()
+    checks.run("smoke", [checks.criterion("A1"), checks.criterion("A7b")])
+    assert calls["enumerate_drawings"] == len(smoke_hooks) == 10
