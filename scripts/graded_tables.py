@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Print the graded dimension table of M_mu two ways and compare.
 
-For hook partitions the table is computed both by derivative closure and as
-the graded quotient by the explicit ideal generators; for other partitions
-only the closure is available.
+For every partition the x-degree-0 row of the closure table is compared
+with the slice that linalg.x_degree_zero_closure computes from the x-parts
+of Delta alone.  For hook partitions the whole table is also computed as the
+graded quotient by the explicit ideal generators; for other partitions only
+the closure is available.
 
     python3 scripts/graded_tables.py 2,1
     python3 scripts/graded_tables.py 3,1 2,2 1,1,1,1
@@ -14,7 +16,7 @@ import sys
 from ghbasis.annihilator import quotient_hilbert
 from ghbasis.delta import build_delta
 from ghbasis.errors import NotAHookError
-from ghbasis.linalg import derivative_closure
+from ghbasis.linalg import derivative_closure, x_degree_zero_closure
 from ghbasis.partitions import hook_params, parse_partition
 from math import factorial
 
@@ -38,6 +40,11 @@ def main(argv):
         dim, table = derivative_closure(delta)
         print(f"  dim M_mu by derivative closure: {dim}")
         print_table("closure table", table)
+        slice_dim, slice_table = x_degree_zero_closure(delta)
+        row = {key: v for key, v in table.items() if key[0] == 0}
+        print(f"  x-degree-0 slice from the x-parts of Delta: {slice_dim} "
+              f"({'agree' if slice_table == row else 'DISAGREE'} with row 0 of the closure table)")
+        print_table("x-degree-0 slice", slice_table)
         try:
             hp = hook_params(mu)
         except NotAHookError:

@@ -6,8 +6,8 @@ Every run emits a report: text by default, or JSON of the shape
 {"command", "params", "checks": [{"name", "expected", "actual", "pass"}],
 "runtime_ms", "seed"}, plus "error" (the one-line reason) when the command
 stopped; the exit status is 0 iff every check passes, 2 for usage errors and
-input that names no valid object (a one-line message on stderr), 3 when a
-size limit is exceeded.
+input that names no valid object (a one-line message on stderr, and with
+--output json the report on stdout as well), 3 when a size limit is exceeded.
 """
 
 from __future__ import annotations
@@ -269,9 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     report, status = _run_parsed(args)
     if status == EXIT_USAGE:
         print(f"ghbasis {report.command}: {report.error}", file=sys.stderr)
-    elif args.output == "json":
+    if args.output == "json":
         print(report.to_json())
-    else:
+    elif status != EXIT_USAGE:
         print(report.to_text())
     return status
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .poly import Monomial, Polynomial, apply_diff, mono_key, monomial_from_orders
+from .errors import InvariantError
+from .poly import Monomial, Polynomial, apply_diff, mono_key
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:
@@ -103,48 +104,86 @@ def homogeneous_family_rank(polys: list[Polynomial]) -> int:
     return total
 
 
-def derivative_closure(delta) -> tuple[int, dict[tuple[int, int], int]]:
-    """(dim M_mu, graded dimensions by bidegree) via breadth-first closure.
+def _closure(starts: list[Polynomial], ops: list[Monomial]) -> tuple[int, dict[tuple[int, int], int]]:
+    """(dimension, dimensions by bidegree) of the span of starts closed under ops.
 
-    Starts from Delta and repeatedly applies the 2n single-variable
-    derivatives, inserting only rank-increasing images; bidegrees never
-    collide across blocks, so each block keeps its own elimination state.
+    Breadth first: each start, then each image of a queued polynomial under
+    each op in order, is kept only if it enlarges the span of its bidegree
+    block.  A dependent image adds nothing, since its images lie in the span
+    of the images of what it depends on.  Every op is a bihomogeneous
+    monomial, so bidegrees never collide across blocks and each block keeps
+    its own elimination state; columns come from one shared monomial index.
     """
-    start = delta.value
-    n = start.n
     index: dict[Monomial, int] = {}
-
-    def key_of(m: Monomial) -> int:
-        if m not in index:
-            index[m] = len(index)
-        return index[m]
-
     blocks: dict[tuple[int, int], Eliminator] = {}
     table: dict[tuple[int, int], int] = {}
     queue: list[Polynomial] = []
 
-    def insert(p: Polynomial) -> bool:
+    def insert(p: Polynomial) -> None:
         if p.is_zero():
-            return False
+            return
         bideg = next(iter(p.terms)).bidegree()
-        elim = blocks.setdefault(bideg, Eliminator())
-        row = {key_of(m): c for m, c in p.terms.items()}
+        elim = blocks.get(bideg)
+        if elim is None:
+            elim = blocks[bideg] = Eliminator()
+        row = {index.setdefault(m, len(index)): c for m, c in p.terms.items()}
         if elim.add(row):
             table[bideg] = table.get(bideg, 0) + 1
             queue.append(p)
-            return True
-        return False
 
-    insert(start)
-    ops = [("x", i) for i in range(1, n + 1)] + [("y", i) for i in range(1, n + 1)]
+    for p in starts:
+        insert(p)
     head = 0
     while head < len(queue):
         current = queue[head]
         head += 1
-        for alphabet, i in ops:
-            xo = {i: 1} if alphabet == "x" else None
-            yo = {i: 1} if alphabet == "y" else None
-            op = monomial_from_orders(n, xo, yo)
+        for op in ops:
             insert(apply_diff(op, current))
-    dim = sum(table.values())
-    return dim, table
+    return sum(table.values()), table
+
+
+def _derivatives(n: int) -> tuple[list[Monomial], list[Monomial]]:
+    """([d/dx_1, ..., d/dx_n], [d/dy_1, ..., d/dy_n]) as monomial operators."""
+    zero = (0,) * n
+    units = [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
+    return [Monomial(e, zero) for e in units], [Monomial(zero, e) for e in units]
+
+
+def derivative_closure(delta) -> tuple[int, dict[tuple[int, int], int]]:
+    """(dim M_mu, graded dimensions by bidegree) via breadth-first closure.
+
+    Starts from Delta and repeatedly applies the 2n single-variable
+    derivatives d/dx_1, ..., d/dx_n, d/dy_1, ..., d/dy_n.
+    """
+    xs, ys = _derivatives(delta.value.n)
+    return _closure([delta.value], xs + ys)
+
+
+def x_degree_zero_closure(delta) -> tuple[int, dict[tuple[int, int], int]]:
+    """(dim, dimensions by bidegree) of the x-degree-0 slice of M_mu.
+
+    The slice is read without the rest of the closure.  Delta is
+    bihomogeneous of x-degree n(mu), so a derivative d^m Delta has x-degree 0
+    exactly when the x-part m_x of m has degree n(mu); then d^{m_x} keeps
+    only the terms of Delta whose x-part equals m_x.  The slice is therefore
+    the closure, under the n y-derivatives only, of d^{x^a} Delta for the
+    distinct x-parts a of the terms of Delta.  d^{x^a} Delta is a! times the
+    sum of c * y^b over the terms c * x^a * y^b of Delta, and the nonzero
+    scalar a! changes no span, so those sums are the starting polynomials.
+    Every key of the returned table has a = 0, and the table equals the
+    a = 0 entries of :func:`derivative_closure`.
+
+    Raises InvariantError if a term of Delta has an x-degree other than
+    ``delta.bidegree[0]``, since the argument above needs bihomogeneity.
+    """
+    value = delta.value
+    n = value.n
+    top = delta.bidegree[0]
+    zero = (0,) * n
+    by_x_part: dict[tuple[int, ...], dict[Monomial, int]] = {}
+    for m, c in value.terms.items():
+        if m.xdeg() != top:
+            raise InvariantError(f"Delta has a term of x-degree {m.xdeg()}, not {top}")
+        by_x_part.setdefault(m.xexp, {})[Monomial(zero, m.yexp)] = c
+    starts = [Polynomial(n, terms) for terms in by_x_part.values()]
+    return _closure(starts, _derivatives(n)[1])

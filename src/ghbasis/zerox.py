@@ -12,6 +12,12 @@ The cross diagram S of a drawing (all x-cells plus the chosen y-crosses)
 and the white diagram T (the remaining y-cells) give monomial operators;
 applied to Delta_mu they produce bases of the x-degree-0 and x-degree-n(mu)
 homogeneous subspaces, each of dimension n!/mu'!.
+
+The dimension of the x-degree-0 slice of M_mu itself is read from
+linalg.x_degree_zero_closure, not from the full derivative closure: Delta is
+bihomogeneous of x-degree n(mu), so d^m Delta has x-degree 0 exactly when
+the x-part of m is the x-part of a term of Delta, and the slice is the
+closure of those images under the n y-derivatives alone.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from math import factorial
 
 from .delta import DeltaPolynomial
 from .errors import NoPreimageError, SizeLimitError
-from .linalg import homogeneous_family_rank, derivative_closure
+from .linalg import homogeneous_family_rank, x_degree_zero_closure
 from .partitions import Partition, biexponents, conjugate_factorial, corners, remove_corner
 from .poly import Monomial, apply_diff, min_monomial
 
@@ -284,8 +290,7 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
 
     rank_s = homogeneous_family_rank(s_images)
     rank_t = homogeneous_family_rank(t_images)
-    _, closure_table = derivative_closure(delta)
-    dim_zero_slice = sum(v for (a, _), v in closure_table.items() if a == 0)
+    dim_zero_slice, _ = x_degree_zero_closure(delta)
 
     return {
         "count": len(drawings),

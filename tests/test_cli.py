@@ -81,6 +81,13 @@ def test_usage_error_exit_code(capsys):
     assert status == EXIT_USAGE and error.startswith("error: ")
     main(BAD_INPUT[0])
     assert capsys.readouterr().err == f"ghbasis delta: {error}\n"
+    # With --output json, main also prints that report on stdout, as for exit 3.
+    for argv in BAD_INPUT:
+        assert main(argv + ["--output", "json"]) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["checks"] == [] and payload["error"].startswith("error: "), argv
+        assert captured.err == f"ghbasis {payload['command']}: {payload['error']}\n", argv
 
 
 def test_size_limit_exit_code(capsys):

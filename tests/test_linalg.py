@@ -1,9 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ghbasis.delta import build_delta
-from ghbasis.linalg import Eliminator, derivative_closure, homogeneous_family_rank
-from ghbasis.partitions import Partition, hook_partition
+from ghbasis.delta import DeltaPolynomial, build_delta
+from ghbasis.errors import InvariantError
+from ghbasis.linalg import (
+    Eliminator,
+    derivative_closure,
+    homogeneous_family_rank,
+    x_degree_zero_closure,
+)
+from ghbasis.partitions import Partition, hook_partition, partitions_of
 from ghbasis.poly import parse_poly
 
 
@@ -69,6 +75,25 @@ def test_derivative_closure_factorial_for_hooks(n):
     for K in range(n):
         dim, _ = derivative_closure(build_delta(hook_partition(K, n - 1 - K)))
         assert dim == factorial(n)
+
+
+@pytest.mark.parametrize("mu", [mu for n in range(1, 6) for mu in partitions_of(n)]
+                         + [Partition((3, 2, 1))], ids=str)
+def test_x_degree_zero_closure_matches_full_closure(mu):
+    # The oracle is the a = 0 row of the full closure, bidegree by bidegree.
+    delta = build_delta(mu)
+    _, full = derivative_closure(delta)
+    dim, table = x_degree_zero_closure(delta)
+    assert table == {(a, b): v for (a, b), v in full.items() if a == 0}
+    assert dim == sum(table.values())
+
+
+def test_x_degree_zero_closure_rejects_a_delta_that_is_not_bihomogeneous():
+    delta = build_delta(Partition((2, 2, 1)))
+    stray = parse_poly("x1*y2", 5)  # x-degree 1, while every term of Delta has x-degree 2
+    broken = DeltaPolynomial(value=delta.value + stray, mu=delta.mu, bidegree=delta.bidegree)
+    with pytest.raises(InvariantError):
+        x_degree_zero_closure(broken)
 
 
 def test_homogeneous_family_rank_groups_by_bidegree():

@@ -132,7 +132,8 @@ def test_minimal_monomials_and_distinctness(n):
         assert len(whites) == len(enumerate_general(mu))
 
 
-@pytest.mark.parametrize("parts", [(2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 2, 1)])
+@pytest.mark.parametrize("parts", [(2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 2, 1),
+                                   (3, 2, 1), (2, 2, 1, 1), (3, 3), (2, 2, 2)])
 def test_verify_zero_x_degree_basis(parts):
     mu = Partition(parts)
     delta = build_delta(mu)
