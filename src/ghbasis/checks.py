@@ -18,7 +18,6 @@ rows of single criteria.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -304,28 +303,14 @@ def criterion(label: str) -> Criterion:
     return next(c for c in REGISTRY if c.label == label)
 
 
-def run(level: str, criteria=REGISTRY, threads: int = 0) -> list[tuple[Criterion, Check]]:
-    """Every (criterion, row) of the chosen criteria at the given level.
-
-    With threads > 1 the hooks are checked on a thread pool; the rows come
-    out in the same order either way.
-    """
+def run(level: str, criteria=REGISTRY) -> list[tuple[Criterion, Check]]:
+    """Every (criterion, row) of the chosen criteria at the given level."""
     per_hook = [c for c in criteria if c.scope == HOOK]
-
-    def hook_rows(pair):
-        ctx = HookContext(*pair)
-        return [(c, row) for c in per_hook if ctx.n <= c.bound(level) for row in c.rows(ctx)]
-
     nmax = max((c.bound(level) for c in per_hook), default=0)
-    hooks = [(K, n - 1 - K) for n in range(1, nmax + 1) for K in range(n)]
-    out: list[tuple[Criterion, Check]] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rows in pool.map(hook_rows, hooks):
-                out.extend(rows)
-    else:
-        for pair in hooks:
-            out.extend(hook_rows(pair))
+    contexts = (HookContext(K, n - 1 - K) for n in range(1, nmax + 1) for K in range(n))
+    out: list[tuple[Criterion, Check]] = [
+        (c, row) for ctx in contexts for c in per_hook if ctx.n <= c.bound(level)
+        for row in c.rows(ctx)]
     for c in criteria:
         bound = c.bound(level)
         if c.scope == PARTITION:

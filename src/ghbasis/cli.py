@@ -87,18 +87,33 @@ class Report:
         return "\n".join(lines)
 
 
+class _ParseError(UsageError):
+    """An error argparse found; ``command`` is the subcommand path it was in."""
+
+    def __init__(self, prog: str, message: str):
+        super().__init__(message)
+        self.command = prog.removeprefix("ghbasis").strip()
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises its errors instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise _ParseError(self.prog, message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--output", choices=["text", "json"], default="text")
     common.add_argument("--seed", type=int, default=0,
                         help="logged in the report; no check is randomized")
     common.add_argument("--threads", type=int, default=0,
-                        help="worker threads for independent checks (0 = sequential)")
+                        help="ignored; kept so that every report logs it in params")
     common.add_argument("--limit-n", type=int, default=7, dest="limit_n",
                         help="safety cap on n for enumerative commands")
 
-    top = argparse.ArgumentParser(prog="ghbasis",
-                                  description="exact checks for monomial bases of Garsia-Haiman modules")
+    top = _Parser(prog="ghbasis",
+                  description="exact checks for monomial bases of Garsia-Haiman modules")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("delta", parents=[common], help="print Delta_mu")
@@ -217,7 +232,7 @@ def _cmd_zerox(args, report: Report) -> None:
 
 def _cmd_suite(args, report: Report) -> None:
     """Every registered criterion at its bound for --level (see ghbasis.checks)."""
-    report.checks.extend(row for _, row in run_checks(args.level, threads=args.threads))
+    report.checks.extend(row for _, row in run_checks(args.level))
 
 
 _COMMANDS = {
@@ -259,17 +274,32 @@ def run(argv: list[str]) -> tuple[Report, int]:
     return _run_parsed(_parser().parse_args(argv))
 
 
+def _requested_output(argv: list[str]) -> str:
+    """The --output of an argv that fails to parse, as far as it can be read."""
+    peek = _Parser(add_help=False)
+    peek.add_argument("--output", choices=["text", "json"], default="text")
+    try:
+        return peek.parse_known_args(argv)[0].output
+    except _ParseError:
+        return "text"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return EXIT_USAGE if code not in (0, None) else 0
-    report, status = _run_parsed(args)
+    except SystemExit:  # --help printed its text
+        return EXIT_OK
+    except _ParseError as exc:
+        report = Report(command=exc.command, params={}, error=f"error: {exc}",
+                        status=EXIT_USAGE)
+        status, output = EXIT_USAGE, _requested_output(argv)
+    else:
+        report, status = _run_parsed(args)
+        output = args.output
     if status == EXIT_USAGE:
-        print(f"ghbasis {report.command}: {report.error}", file=sys.stderr)
-    if args.output == "json":
+        print(f"ghbasis {report.command}".rstrip() + f": {report.error}", file=sys.stderr)
+    if output == "json":
         print(report.to_json())
     elif status != EXIT_USAGE:
         print(report.to_text())

@@ -1,3 +1,4 @@
+from itertools import product as iproduct
 from math import comb, factorial
 
 import pytest
@@ -14,11 +15,11 @@ from ghbasis.annihilator import (
     quotient_hilbert,
     reduce_step,
 )
-from ghbasis import hooks
+from ghbasis import annihilator, checks, hooks
 from ghbasis.delta import build_delta
 from ghbasis.errors import SizeLimitError
 from ghbasis.hooks import enumerate_drawings, s_monomial
-from ghbasis.linalg import derivative_closure
+from ghbasis.linalg import Eliminator, derivative_closure
 from ghbasis.partitions import hook_partition
 from ghbasis.poly import (
     Monomial,
@@ -99,7 +100,6 @@ def test_classify_examples():
 
 
 def test_classify_total_on_bidegree_box():
-    from itertools import product as iproduct
     K = L = 1
     delta = build_delta(hook_partition(K, L))
     bx, by = delta.bidegree
@@ -120,7 +120,6 @@ def test_reduce_step_examples():
 
 @pytest.mark.parametrize("K,L", list(hooks_up_to(4)))
 def test_reduce_step_descends_and_matches_oracle(K, L):
-    from itertools import product as iproduct
     n = K + L + 1
     delta = build_delta(hook_partition(K, L))
     bx, by = delta.bidegree
@@ -166,7 +165,6 @@ def test_normal_form_respects_the_drawing_size_cap(monkeypatch):
 
 @pytest.mark.parametrize("K,L", list(hooks_up_to(4)))
 def test_normal_form_exhaustive_small(K, L):
-    from itertools import product as iproduct
     n = K + L + 1
     delta = build_delta(hook_partition(K, L))
     bx, by = delta.bidegree
@@ -199,3 +197,50 @@ def test_quotient_matches_derivative_closure_small(K, L):
     assert qt.total == dim == factorial(K + L + 1)
     assert qt.table == table
     assert qt.shell_zero
+
+
+def bidegree_monomials(a, b, n):
+    return [Monomial(xe, ye)
+            for xe in iproduct(range(a + 1), repeat=n) if sum(xe) == a
+            for ye in iproduct(range(b + 1), repeat=n) if sum(ye) == b]
+
+
+def generic_quotient_dim(monomials, others, a, b, n):
+    """dim (R/I)_(a,b) by brute force: every multiple of every generator
+    that lands in bidegree (a, b) is a row over all monomials of (a, b)."""
+    cols = {m: i for i, m in enumerate(bidegree_monomials(a, b, n))}
+    elim = Eliminator()
+    for g in [Polynomial.monomial(m) for m in monomials] + others:
+        ga, gb = next(iter(g.terms)).bidegree()
+        if ga <= a and gb <= b:
+            for m in bidegree_monomials(a - ga, b - gb, n):
+                shifted = g * Polynomial.monomial(m)
+                elim.add({cols[t]: c for t, c in shifted.terms.items()})
+    return len(cols) - elim.rank
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(4)))
+def test_quotient_matches_generic_elimination_small(K, L, monkeypatch):
+    exact = quotient_hilbert(K, L)
+    monkeypatch.setattr(annihilator, "_graded_quotient_dim", generic_quotient_dim)
+    generic = quotient_hilbert(K, L)
+    assert (exact.table, exact.total, exact.shell_zero) == (
+        generic.table, generic.total, generic.shell_zero)
+
+
+@pytest.mark.parametrize("family,totals", [("xy(", [9, 48, 48]), ("h_X(", [9, 76, 36])])
+def test_a6_fails_without_a_generator_family(family, totals, monkeypatch):
+    listed = annihilator.generators
+
+    def without_family(K, L):
+        gens = listed(K, L)
+        kept = tuple(e for e in gens.entries if not e[0].startswith(family))
+        assert len(kept) < len(gens)
+        return annihilator.GeneratorSet(K=K, L=L, entries=kept)
+
+    monkeypatch.setattr(annihilator, "generators", without_family)
+    for (K, L), total in zip([(1, 1), (1, 2), (2, 1)], totals):
+        ctx = checks.HookContext(K, L)
+        rows = checks.criterion("A6").rows(ctx)
+        assert ctx.quotient.total == total
+        assert not all(row.passed for row in rows), (family, K, L)

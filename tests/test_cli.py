@@ -19,6 +19,12 @@ BAD_INPUT = [
     ["ideal", "normal-form", "--k", "1", "--l", "1", "--op", "x9"],
 ]
 
+# Command lines that argparse rejects, with the command its error names.
+PARSE_ERRORS = [
+    (["hooks", "enumerate", "--k", "1"], "hooks enumerate", "--l"),
+    (["nonsense"], "", "nonsense"),
+]
+
 
 def test_delta_text(capsys):
     status = main(["delta", "--partition", "1,1"])
@@ -65,10 +71,19 @@ def test_normal_form_command(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    assert main(["hooks", "enumerate"]) == EXIT_USAGE  # missing --k/--l
-    capsys.readouterr()
-    assert main(["nonsense"]) == EXIT_USAGE
-    capsys.readouterr()
+    # argparse's errors get the same one line, not its multi-line usage text.
+    for argv, command, named in PARSE_ERRORS:
+        prefix = f"ghbasis {command}".rstrip() + ": error: "
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1, (argv, captured.err)
+        assert captured.err.startswith(prefix) and named in captured.err, argv
+        assert main(argv + ["--output", "json"]) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["command"] == command and payload["checks"] == [], argv
+        assert captured.err == prefix + payload["error"].removeprefix("error: ") + "\n", argv
     for argv in BAD_INPUT:
         assert main(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
@@ -88,6 +103,12 @@ def test_usage_error_exit_code(capsys):
         payload = json.loads(captured.out)
         assert payload["checks"] == [] and payload["error"].startswith("error: "), argv
         assert captured.err == f"ghbasis {payload['command']}: {payload['error']}\n", argv
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert main(["hooks", "enumerate", "--help"]) == EXIT_OK
+    assert "usage: ghbasis hooks enumerate" in capsys.readouterr().out
 
 
 def test_size_limit_exit_code(capsys):
