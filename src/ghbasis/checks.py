@@ -276,7 +276,7 @@ def _monomial_fixtures(_bound) -> list[Check]:
 REGISTRY = (
     Criterion("A1", "drawing count = n! = closed form", HOOK, 4, 7, _drawing_count),
     Criterion("A2", "rank of drawing images = n!", HOOK, 4, 6, _basis_rank),
-    Criterion("A3", "derivative closure dimension = n!", HOOK, 4, 5, _closure_dim),
+    Criterion("A3", "derivative closure dimension = n!", HOOK, 4, 6, _closure_dim),
     Criterion("A6", "quotient total = n!, graded table = closure table, shell vanishes",
               HOOK, 4, 5, _quotient),
     Criterion("A4", "spanning rewriting exact on every bounded operator", HOOK, 4, 5, _rewriting),

@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass, field
 
 from .annihilator import normal_form
-from .checks import Check, HookContext, bar_basis_properties, corner_identity, criterion
-from .checks import run as run_checks
+from .checks import ONCE, REGISTRY, Check, HookContext, bar_basis_properties, corner_identity
+from .checks import criterion, run as run_checks
 from .delta import build_delta
 from .errors import (
     NotAHookError,
@@ -231,7 +231,14 @@ def _cmd_zerox(args, report: Report) -> None:
 
 
 def _cmd_suite(args, report: Report) -> None:
-    """Every registered criterion at its bound for --level (see ghbasis.checks)."""
+    """Every registered criterion at its bound for --level (see ghbasis.checks).
+
+    Stops before any check runs when a hook or partition bound of the level
+    exceeds --limit-n; ONCE criteria enumerate nothing and are exempt.
+    """
+    nmax = max(c.bound(args.level) for c in REGISTRY if c.scope != ONCE)
+    if nmax > args.limit_n:
+        raise SizeLimitError(f"n = {nmax} (level {args.level}) exceeds --limit-n = {args.limit_n}")
     report.checks.extend(row for _, row in run_checks(args.level))
 
 

@@ -1,9 +1,10 @@
 """Exact rank computations over the integers.
 
-Rank is computed by division-free row elimination with gcd normalization:
-every pivot step replaces a row r by (r * pivot_lead - pivot_row * r_lead)
-divided by the gcd of its entries, which keeps all arithmetic in Z and is
-exact over Q.
+Rank needs only echelon form: a row is reduced until its lead (smallest
+column) is not a pivot column.  Each step clears the lead c with the pivot
+row p of c and gcd-reduced multipliers, r <- (p[c]/g) r - (r[c]/g) p with
+g = gcd(p[c], r[c]), so the arithmetic stays in Z and is exact over Q.  A
+row is divided by the gcd of its entries once, when it becomes a pivot row.
 """
 
 from __future__ import annotations
@@ -14,40 +15,29 @@ from .errors import InvariantError
 from .poly import Monomial, Polynomial, apply_diff, mono_key
 
 
-def _normalize(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
-
-
 def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Reduce row against the pivot rows; exact integer arithmetic.
+    """Clear the lead of row until it is not a pivot column; echelon form only.
 
-    Pivot rows have their lead at their minimum column, so elimination only
-    fills in columns to the right of the one it clears; scanning for the
-    smallest eliminable column until none remains gives a full reduction.
+    Every pivot row leads at its smallest column, so a step that clears
+    column c leaves only columns larger than c: the lead grows, the loop
+    ends, and the result is empty exactly when row lies in the pivots' span.
     """
-    row = dict(row)
-    while True:
-        col = min((c for c in row if c in pivots), default=None)
-        if col is None:
-            return row
-        piv = pivots[col]
-        lead = piv[col]
-        mine = row[col]
-        scaled = {c: v * lead for c, v in row.items()}
+    while row:
+        col = min(row)
+        piv = pivots.get(col)
+        if piv is None:
+            break
+        g = gcd(piv[col], row[col])
+        mine, theirs = piv[col] // g, row[col] // g
+        new = {c: v * mine for c, v in row.items()}
         for c, v in piv.items():
-            new = scaled.get(c, 0) - v * mine
-            if new:
-                scaled[c] = new
+            w = new.get(c, 0) - v * theirs
+            if w:
+                new[c] = w
             else:
-                scaled.pop(c, None)
-        row = _normalize(scaled)
+                del new[c]
+        row = new
+    return row
 
 
 class Eliminator:
@@ -59,14 +49,19 @@ class Eliminator:
         self._count = 0
 
     def add(self, row: dict[int, int]) -> bool:
-        """Insert a row; True iff it enlarged the row space."""
+        """Insert a row; True iff it enlarged the row space.
+
+        The row may be kept as a pivot row as it is, so the caller must not
+        modify it afterwards.
+        """
         reduced = _eliminate(row, self.pivots)
         index = self._count
         self._count += 1
         if not reduced:
             return False
+        g = gcd(*reduced.values())
         lead = min(reduced)
-        self.pivots[lead] = reduced
+        self.pivots[lead] = {c: v // g for c, v in reduced.items()} if g > 1 else reduced
         self.trail.append((index, lead))
         return True
 

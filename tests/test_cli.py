@@ -130,6 +130,12 @@ def test_size_limit_exit_code(capsys):
     assert payload["error"] == "size limit: n = 8 exceeds --limit-n = 7"
     assert main(["delta", "--partition", "2,1", "--output", "json"]) == EXIT_OK
     assert "error" not in json.loads(capsys.readouterr().out)
+    # suite stops before any check when a bound of its level exceeds the cap.
+    status = main(["suite", "--level", "smoke", "--limit-n", "2", "--output", "json"])
+    assert status == EXIT_SIZE_LIMIT
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"] == []
+    assert payload["error"] == "size limit: n = 4 (level smoke) exceeds --limit-n = 2"
 
 
 def test_check_failed_exit_code(monkeypatch):

@@ -29,3 +29,23 @@ def test_library_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in sys.stdlib_module_names | {"ghbasis"}]
     assert found == []
+
+
+def float_sites(source):
+    """Line numbers of true divisions, float literals and float() calls."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                  or isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")
+
+
+def test_library_has_no_floats():
+    # Exact arithmetic only: a stray `/` in a kernel would silently make floats.
+    found = [f"{path.name}:{line}" for path in sorted(SOURCE.glob("*.py"))
+             for line in float_sites(path.read_text())]
+    assert found == []
+
+
+def test_float_sites_finds_each_kind():
+    source = "a = b // c\na = b / c\na /= 2\nd = 0.5\ne = float(a)\nf = 10 ** 3\n"
+    assert float_sites(source) == [2, 3, 4, 5]
