@@ -15,6 +15,16 @@ and four relation schemas (P == Q means (P-Q)(d) kills Delta_mu):
     4. h_k(Y) h_l(X) == 0 when k, l > 0 and (Y inside X with k+l+|Y| > n,
        or X inside Y with k+l+|X| > n).
 
+Every operator is built from exponent vectors, never by multiplying
+polynomials.  The monomials of h_k over a set of places are the vectors of
+:func:`_h_exponents`.  In h_k(Y) h_l(X) the factors use different
+alphabets, so the product is the sum of x^a y^b over the x-vectors a of
+h_l(X) and the y-vectors b of h_k(Y).  Distinct pairs (a, b) give distinct
+monomials, so every coefficient is 1.  Ybar h_k(Y') is a monomial times a
+polynomial, so each of its terms is a vector of h_k(Y') shifted by the
+squarefree vector of Ybar.  A rewriting step shifts the operator's own
+vectors in the same way.
+
 The rewriting expresses any monomial operator modulo the ideal as an
 integer combination of drawing operators.  A non-drawing diagram is
 classified at its rightmost guilty place and rewritten through the schema
@@ -33,19 +43,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import add
 
 from .delta import DeltaPolynomial, build_delta
 from .errors import InvariantError, RewriteDefectError, SizeLimitError
 from .hooks import HookDrawing, enumerate_drawings, s_monomial
 from .linalg import Eliminator
 from .partitions import hook_partition
-from .poly import (
-    Monomial,
-    Polynomial,
-    apply_diff_poly,
-    descent_key,
-    monomial_from_orders,
-)
+from .poly import Monomial, Polynomial, apply_diff_poly, descent_key
 
 CASE_VALID = "valid-drawing"
 CASE_NULL = "null-operator"          # some place carries both x- and y-orders
@@ -77,33 +82,19 @@ class AnomalyClass:
 # generators
 # ---------------------------------------------------------------------------
 
-def _h_monomials(degree: int, indices: tuple[int, ...]):
-    """Exponent maps of the monomials of h_degree over the given indices."""
+def _h_exponents(degree: int, indices: tuple[int, ...], n: int):
+    """Exponent vectors of the monomials of h_degree over the 1-based indices,
+    in the order of combinations_with_replacement."""
     for combo in combinations_with_replacement(indices, degree):
-        orders: dict[int, int] = {}
+        e = [0] * n
         for i in combo:
-            orders[i] = orders.get(i, 0) + 1
-        yield orders
+            e[i - 1] += 1
+        yield tuple(e)
 
 
-def h_poly(degree: int, indices: tuple[int, ...], alphabet: str, n: int) -> Polynomial:
-    """Complete homogeneous symmetric polynomial of the given degree in the
-    chosen variables, by direct monomial enumeration."""
-    terms: dict[Monomial, int] = {}
-    for orders in _h_monomials(degree, indices):
-        if alphabet == "x":
-            m = monomial_from_orders(n, orders, None)
-        else:
-            m = monomial_from_orders(n, None, orders)
-        terms[m] = terms.get(m, 0) + 1
-    return Polynomial(n, terms)
-
-
-def squarefree_product(indices: tuple[int, ...], alphabet: str, n: int) -> Polynomial:
-    orders = {i: 1 for i in indices}
-    if alphabet == "x":
-        return Polynomial.monomial(monomial_from_orders(n, orders, None))
-    return Polynomial.monomial(monomial_from_orders(n, None, orders))
+def _ones(indices: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Exponent vector of the squarefree product over the 1-based indices."""
+    return tuple(int(i in indices) for i in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -124,18 +115,18 @@ def generators(K: int, L: int) -> GeneratorSet:
     """The explicit generator list; 3n + C(n, L+1) + C(n, K+1) polynomials."""
     n = K + L + 1
     everything = tuple(range(1, n + 1))
-    entries: list[tuple[str, Polynomial]] = []
-    for i in range(1, n + 1):
-        entries.append((f"h_X({i})", h_poly(i, everything, "x", n)))
-    for i in range(1, n + 1):
-        entries.append((f"h_Y({i})", h_poly(i, everything, "y", n)))
-    for i in range(1, n + 1):
-        entries.append((f"xy({i})", Polynomial.monomial(
-            monomial_from_orders(n, {i: 1}, {i: 1}))))
-    for combo in combinations(everything, L + 1):
-        entries.append((f"xbar{combo}", squarefree_product(combo, "x", n)))
-    for combo in combinations(everything, K + 1):
-        entries.append((f"ybar{combo}", squarefree_product(combo, "y", n)))
+    zero = (0,) * n
+    h = {i: list(_h_exponents(i, everything, n)) for i in everything}
+    entries = [(f"h_X({i})", Polynomial(n, {Monomial(a, zero): 1 for a in h[i]}))
+               for i in everything]
+    entries += [(f"h_Y({i})", Polynomial(n, {Monomial(zero, b): 1 for b in h[i]}))
+                for i in everything]
+    entries += [(f"xy({i})", Polynomial.monomial(Monomial(_ones((i,), n), _ones((i,), n))))
+                for i in everything]
+    entries += [(f"xbar{combo}", Polynomial.monomial(Monomial(_ones(combo, n), zero)))
+                for combo in combinations(everything, L + 1)]
+    entries += [(f"ybar{combo}", Polynomial.monomial(Monomial(zero, _ones(combo, n))))
+                for combo in combinations(everything, K + 1)]
     expected = 3 * n + comb(n, L + 1) + comb(n, K + 1)
     if len(entries) != expected:
         raise InvariantError(f"built {len(entries)} generators, expected {expected}")
@@ -150,6 +141,8 @@ def annihilates(P: Polynomial, delta: DeltaPolynomial) -> bool:
     Delta term outright; when all of P is of that kind no expansion is
     needed.
     """
+    if P.n != delta.n:
+        raise ValueError(f"operator ambient {P.n} != Delta ambient {delta.n}")
     bx, by = delta.bidegree
     if all(m.xdeg() > bx or m.ydeg() > by for m in P.terms):
         return True
@@ -169,29 +162,36 @@ def proposition_instances(n: int, K: int, L: int, which: int):
     """
     if which not in (1, 2, 3, 4):
         raise ValueError("which must be 1, 2, 3 or 4")
+    if n != K + L + 1:
+        raise ValueError(f"n = {n} but the hook ({K + 1}, 1^{L}) has n = {K + L + 1}")
     ky_max = K * (K + 1) // 2 + 1
     lx_max = L * (L + 1) // 2 + 1
     everything = tuple(range(1, n + 1))
+    zero = (0,) * n
 
     if which == 1:
         for k in range(1, ky_max + 1):
             for size in range(max(0, n - k + 1), n + 1):
                 for Y in combinations(everything, size):
-                    yield h_poly(k, Y, "y", n)
+                    yield Polynomial(n, {Monomial(zero, b): 1 for b in _h_exponents(k, Y, n)})
         return
 
     if which == 2:
         for yp_size in range(0, n + 1):
             for Yp in combinations(everything, yp_size):
+                h = {k: list(_h_exponents(k, Yp, n)) for k in range(1, ky_max + 1)}
                 for y_size in range(0, yp_size + 1):
                     for Y in combinations(Yp, y_size):
+                        ybar = _ones(Y, n)
                         for k in range(1, ky_max + 1):
                             if k + len(Y) > K:
-                                yield squarefree_product(Y, "y", n) * h_poly(k, Yp, "y", n)
+                                yield Polynomial(n, {Monomial(zero, tuple(map(add, ybar, b))): 1
+                                                     for b in h[k]})
         return
 
     for y_size in range(0, n + 1):
         for Y in combinations(everything, y_size):
+            hy = {k: list(_h_exponents(k, Y, n)) for k in range(1, ky_max + 1)}
             for x_size in range(0, n + 1):
                 for X in combinations(everything, x_size):
                     nested_yx = set(Y) <= set(X)
@@ -206,7 +206,9 @@ def proposition_instances(n: int, K: int, L: int, which: int):
                                 hit = (nested_yx and k + l + len(Y) > n) or (
                                     nested_xy and k + l + len(X) > n)
                             if hit:
-                                yield h_poly(k, Y, "y", n) * h_poly(l, X, "x", n)
+                                hx = list(_h_exponents(l, X, n))
+                                yield Polynomial(n, {Monomial(a, b): 1
+                                                     for b in hy[k] for a in hx})
 
 
 # ---------------------------------------------------------------------------
@@ -248,49 +250,55 @@ def classify_diagram(op: Monomial, K: int, L: int) -> AnomalyClass:
         f"this contradicts the spanning argument")
 
 
+# The cases of a guilty place in each alphabet: crossed overflow, tail, blocked pair.
+_Y_CASES = (CASE_CROSS_OVERFLOW_Y, CASE_TAIL_Y, CASE_PAIR_BLOCKED_Y)
+_X_CASES = (CASE_CROSS_OVERFLOW_X, CASE_TAIL_X, CASE_PAIR_BLOCKED_X)
+
+
+def _own_first(x, y, guilty_y: bool):
+    """The pair (x, y) with the guilty alphabet first; applied twice, the identity."""
+    return (y, x) if guilty_y else (x, y)
+
+
 def _case_at(op: Monomial, K: int, L: int, g: int) -> str | None:
     n = K + L + 1
-    xo = op.xexp[g - 1]
-    yo = op.yexp[g - 1]
-    if yo:
-        # h-th crossed y-place holding yo = k+1 crosses: a y-column of
-        # height at most K - h + 1 cannot carry them once k + h > K.
-        h = sum(1 for p in range(g) if op.yexp[p])
-        if (yo - 1) + h > K:
-            return CASE_CROSS_OVERFLOW_Y
-        if yo + g > n:
-            return CASE_TAIL_Y
-        if _pair_partner(op, g, "y", n) is not None:
-            return CASE_PAIR_BLOCKED_Y
-    elif xo:
-        m = sum(1 for p in range(g) if op.xexp[p])
-        if (xo - 1) + m > L:
-            return CASE_CROSS_OVERFLOW_X
-        if xo + g > n:
-            return CASE_TAIL_X
-        if _pair_partner(op, g, "x", n) is not None:
-            return CASE_PAIR_BLOCKED_X
+    guilty_y = op.yexp[g - 1] > 0
+    own, other = _own_first(op.xexp, op.yexp, guilty_y)
+    e = own[g - 1]
+    if not e:
+        return None
+    cross, tail, blocked = _Y_CASES if guilty_y else _X_CASES
+    # h-th crossed place of its alphabet holding e = k+1 crosses: a column of
+    # height at most cap - h + 1 cannot carry them once k + h > cap.
+    cap = K if guilty_y else L
+    h = sum(1 for p in range(g) if own[p])
+    if (e - 1) + h > cap:
+        return cross
+    if e + g > n:
+        return tail
+    if _pair_partner(own, other, g, guilty_y, n) is not None:
+        return blocked
     return None
 
 
-def _pair_partner(op: Monomial, g: int, kind: str, n: int) -> int | None:
+def _pair_partner(own: tuple[int, ...], other: tuple[int, ...], g: int,
+                  guilty_y: bool, n: int) -> int | None:
     """Smallest admissible partner place for the paired-schema rewrite.
 
-    For a guilty y-place the relation is h_k(Y) h_l(X) with Y the places up
-    to g plus the crossed x-places up to the partner (|Y| = g + between + 1,
-    partner included); for a guilty x-place the x-side set stops at g
-    (|X| = g + between), which is what keeps the replacement monomials below
-    the guilty place in the descent order scanned x-block first.
+    own and other are the exponent vectors of the guilty place's alphabet
+    and of the partner's.  For a guilty y-place the relation is h_k(Y) h_l(X)
+    with Y the places up to g plus the crossed x-places up to the partner
+    (|Y| = g + between + 1, partner included); for a guilty x-place the
+    x-side set stops at g (|X| = g + between), which is what keeps the
+    replacement monomials below the guilty place in the descent order
+    scanned x-block first.
     """
-    own = op.yexp[g - 1] if kind == "y" else op.xexp[g - 1]
-    partner_exps = op.xexp if kind == "y" else op.yexp
-    bonus = 1 if kind == "y" else 0
     between = 0
     for q in range(g + 1, n + 1):
-        e = partner_exps[q - 1]
+        e = other[q - 1]
         if not e:
             continue
-        if own + e + g + between + bonus > n:
+        if own[g - 1] + e + g + between + int(guilty_y) > n:
             return q
         between += 1
     return None
@@ -300,85 +308,70 @@ def _pair_partner(op: Monomial, g: int, kind: str, n: int) -> int | None:
 # rewriting
 # ---------------------------------------------------------------------------
 
-def _shift(op: Monomial, dx: dict[int, int], dy: dict[int, int]) -> Monomial | None:
-    """op with x-exponents shifted by dx and y by dy (1-based); None if mixed."""
-    xe = list(op.xexp)
-    ye = list(op.yexp)
-    for i, e in dx.items():
-        xe[i - 1] += e
-    for i, e in dy.items():
-        ye[i - 1] += e
+def _drop(v: tuple[int, ...], place: int, e: int) -> tuple[int, ...]:
+    """v with e taken off its entry at the 1-based place."""
+    return v[:place - 1] + (v[place - 1] - e,) + v[place:]
+
+
+def _shift(op: Monomial, dx: tuple[int, ...], dy: tuple[int, ...]) -> Monomial | None:
+    """op with its exponent vectors shifted by dx and dy; None if mixed."""
+    xe = tuple(map(add, op.xexp, dx))
+    ye = tuple(map(add, op.yexp, dy))
     if any(a and b for a, b in zip(xe, ye)):
         return None  # multiple of some x_i y_i: in the ideal, dropped
-    return Monomial(tuple(xe), tuple(ye))
+    return Monomial(xe, ye)
 
 
 def reduce_step(op: Monomial, K: int, L: int) -> list[tuple[int, Monomial]]:
     """One rewriting step: op == sum of the returned (coefficient, monomial)
     pairs modulo the ideal, every monomial strictly smaller in descent order.
+
+    Each replacement term is a monomial of the schema's h-product with the
+    guilty monomial's exponents taken off, shifted onto op.
     """
     cls = classify_diagram(op, K, L)
     if not cls.is_anomaly:
         raise ValueError(f"operator classifies as {cls.case}; nothing to reduce")
     n = K + L + 1
     g = cls.place
-    out: list[tuple[int, Monomial]] = []
+    guilty_y = cls.case in _Y_CASES
+    own, other = _own_first(op.xexp, op.yexp, guilty_y)
+    moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (own, other) shifts
 
     if cls.case not in (CASE_PAIR_BLOCKED_Y, CASE_PAIR_BLOCKED_X):
-        alphabet = "y" if cls.case in (CASE_CROSS_OVERFLOW_Y, CASE_TAIL_Y) else "x"
-        exps = op.yexp if alphabet == "y" else op.xexp
         if cls.case in (CASE_CROSS_OVERFLOW_Y, CASE_CROSS_OVERFLOW_X):
             # op is a multiple of (product over crossed places) * v_g^k; the
             # degree-k replacement runs over the crossed places only.
-            window = tuple(p + 1 for p in range(g) if exps[p])
-            k = exps[g - 1] - 1
+            window = tuple(p + 1 for p in range(g) if own[p])
+            k = own[g - 1] - 1
         else:
             window = tuple(range(1, g + 1))
-            k = exps[g - 1]
-        for orders in _h_monomials(k, window):
-            if orders.get(g, 0) == k:
-                continue
-            delta_orders = dict(orders)
-            delta_orders[g] = delta_orders.get(g, 0) - k
-            shifted = _shift(op,
-                             delta_orders if alphabet == "x" else {},
-                             delta_orders if alphabet == "y" else {})
-            if shifted is not None:
-                out.append((-1, shifted))
+            k = own[g - 1]
+        zero = (0,) * n
+        moves = [(_drop(v, g, k), zero) for v in _h_exponents(k, window, n) if v[g - 1] != k]
     else:
         # Guilty y-place: h_k(Y) h_l(X) with Y up to g plus the partner and
         # X up to the partner; the partner's full x-power masks every upward
         # y-move behind an earlier x-difference.  Guilty x-place: the x-side
         # set stops at g (terms reaching the partner's place would ascend),
         # and the y-side runs up to the partner.
-        alphabet = "y" if cls.case == CASE_PAIR_BLOCKED_Y else "x"
-        partner = _pair_partner(op, g, alphabet, n)
+        partner = _pair_partner(own, other, g, guilty_y, n)
         if partner is None:
             raise RewriteDefectError(f"paired schema lost its partner for {op}")
-        own_exps = op.yexp if alphabet == "y" else op.xexp
-        other_exps = op.xexp if alphabet == "y" else op.yexp
-        k = own_exps[g - 1]
-        l = other_exps[partner - 1]
-        if alphabet == "y":
-            own_set = tuple(range(1, g + 1)) + (partner,)
-        else:
-            own_set = tuple(range(1, g + 1))
-        other_set = tuple(range(1, partner + 1))
-        for own_orders in _h_monomials(k, own_set):
-            for other_orders in _h_monomials(l, other_set):
-                if own_orders.get(g, 0) == k and other_orders.get(partner, 0) == l:
-                    continue
-                d_own = {i: e for i, e in own_orders.items()}
-                d_own[g] = d_own.get(g, 0) - k
-                d_other = {i: e for i, e in other_orders.items()}
-                d_other[partner] = d_other.get(partner, 0) - l
-                if alphabet == "y":
-                    shifted = _shift(op, d_other, d_own)
-                else:
-                    shifted = _shift(op, d_own, d_other)
-                if shifted is not None:
-                    out.append((-1, shifted))
+        k = own[g - 1]
+        l = other[partner - 1]
+        own_set = tuple(range(1, g + 1)) + ((partner,) if guilty_y else ())
+        other_vs = list(_h_exponents(l, tuple(range(1, partner + 1)), n))
+        for v in _h_exponents(k, own_set, n):
+            for w in other_vs:
+                if v[g - 1] != k or w[partner - 1] != l:
+                    moves.append((_drop(v, g, k), _drop(w, partner, l)))
 
+    out: list[tuple[int, Monomial]] = []
+    for d_own, d_other in moves:
+        shifted = _shift(op, *_own_first(d_own, d_other, guilty_y))
+        if shifted is not None:
+            out.append((-1, shifted))
     key = descent_key(op)
     for _, m in out:
         if not descent_key(m) < key:
@@ -458,13 +451,19 @@ def normal_form(op: Monomial, K: int, L: int,
 
     With validate=True the identity is checked by applying the difference of
     its two sides to Delta (built when not given); a nonzero result raises
-    RewriteDefectError.
+    RewriteDefectError.  A Delta of another partition, or an operator of
+    another ambient n, raises ValueError.
     """
+    mu = hook_partition(K, L)
+    if op.n != mu.n:
+        raise ValueError(f"operator ambient {op.n} != n = {mu.n}")
+    if delta is not None and delta.mu != mu:
+        raise ValueError(f"Delta of {delta.mu} given for the hook {mu}")
     rewriter = _rewriter(K, L)
     nf = rewriter.normal_form(op)
     if validate:
         if delta is None:
-            delta = build_delta(hook_partition(K, L))
+            delta = build_delta(mu)
         if not annihilates(Polynomial(op.n, nf) - Polynomial.monomial(op), delta):
             raise RewriteDefectError(f"normal form of {op} fails the oracle")
     index = rewriter.s_index

@@ -64,18 +64,6 @@ def unit_monomial(n: int) -> Monomial:
     return Monomial((0,) * n, (0,) * n)
 
 
-def monomial_from_orders(n: int, xorders: dict[int, int] | None = None,
-                         yorders: dict[int, int] | None = None) -> Monomial:
-    """Build a monomial from 1-based variable index -> exponent maps."""
-    xe = [0] * n
-    ye = [0] * n
-    for i, e in (xorders or {}).items():
-        xe[i - 1] = e
-    for i, e in (yorders or {}).items():
-        ye[i - 1] = e
-    return Monomial(tuple(xe), tuple(ye))
-
-
 def _check_same_n(m1: Monomial, m2: Monomial) -> None:
     if len(m1.xexp) != len(m2.xexp):
         raise ValueError(f"mismatched ambient n: {len(m1.xexp)} vs {len(m2.xexp)}")

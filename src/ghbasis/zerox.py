@@ -263,7 +263,12 @@ def _minimal_monomials_ok(s: Monomial, t: Monomial, image_s, image_t) -> bool:
 
 def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
                                limit: int = DEFAULT_LIMIT) -> dict:
-    """Full verification report for the bases of M_mu^0 and M_mu^{n(mu)}."""
+    """Full verification report for the bases of M_mu^0 and M_mu^{n(mu)}.
+
+    delta must be Delta_mu; a Delta of another partition raises ValueError.
+    """
+    if delta.mu != mu:
+        raise ValueError(f"Delta of {delta.mu} given for {mu}")
     drawings = enumerate_general(mu, limit=limit)
     expected = factorial(mu.n) // conjugate_factorial(mu)
     n_mu = delta.bidegree[0]

@@ -1,5 +1,6 @@
-from itertools import product as iproduct
-from math import comb, factorial
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product as iproduct
+from math import comb, factorial, prod
 
 import pytest
 
@@ -20,7 +21,7 @@ from ghbasis.delta import build_delta
 from ghbasis.errors import SizeLimitError
 from ghbasis.hooks import enumerate_drawings, s_monomial
 from ghbasis.linalg import Eliminator, derivative_closure
-from ghbasis.partitions import hook_partition
+from ghbasis.partitions import Partition, hook_partition
 from ghbasis.poly import (
     Monomial,
     Polynomial,
@@ -64,6 +65,25 @@ def test_annihilates_examples():
     assert annihilates(parse_poly("x1*y1", 3), delta)
 
 
+@pytest.mark.parametrize("text,n", [("x1^9", 1), ("x1^9", 5), ("x1", 1)])
+def test_annihilates_rejects_another_ambient(text, n):
+    # x1^9 is past the x-degree of Delta, which once skipped the ambient check.
+    with pytest.raises(ValueError):
+        annihilates(parse_poly(text, n), build_delta(hook_partition(1, 1)))
+
+
+def test_normal_form_rejects_a_delta_of_another_partition():
+    with pytest.raises(ValueError):
+        normal_form(mono("x3", 3), 1, 1, delta=build_delta(Partition((3,))), validate=True)
+    with pytest.raises(ValueError):
+        normal_form(mono("x1*y1", 2), 1, 1)
+
+
+def test_proposition_instances_reject_another_n():
+    with pytest.raises(ValueError):
+        next(proposition_instances(3, 2, 2, 1))
+
+
 @pytest.mark.parametrize("K,L", list(hooks_up_to(6)))
 def test_generators_annihilate(K, L):
     delta = build_delta(hook_partition(K, L))
@@ -90,6 +110,98 @@ def test_proposition_instances_annihilate_small(K, L, which):
     delta = build_delta(hook_partition(K, L))
     for inst in proposition_instances(n, K, L, which):
         assert annihilates(inst, delta)
+
+
+# The operators as products of polynomials, the way they read in the paper:
+# the oracle for the exponent-vector construction of the library.
+
+def variable(i, n, y=False):
+    e = tuple(int(j == i) for j in range(1, n + 1))
+    zero = (0,) * n
+    return Polynomial.monomial(Monomial(zero, e) if y else Monomial(e, zero))
+
+
+def product_of_variables(indices, n, y=False):
+    return prod((variable(i, n, y) for i in indices), start=Polynomial.constant(n, 1))
+
+
+@lru_cache(maxsize=None)
+def h_by_products(degree, indices, n, y=False):
+    terms = {}
+    for combo in combinations_with_replacement(indices, degree):
+        (m, c), = product_of_variables(combo, n, y).terms.items()
+        terms[m] = terms.get(m, 0) + c
+    return Polynomial(n, terms)
+
+
+def generators_by_products(K, L):
+    n = K + L + 1
+    everything = tuple(range(1, n + 1))
+    return ([(f"h_X({i})", h_by_products(i, everything, n)) for i in everything]
+            + [(f"h_Y({i})", h_by_products(i, everything, n, y=True)) for i in everything]
+            + [(f"xy({i})", variable(i, n) * variable(i, n, y=True)) for i in everything]
+            + [(f"xbar{c}", product_of_variables(c, n)) for c in combinations(everything, L + 1)]
+            + [(f"ybar{c}", product_of_variables(c, n, y=True))
+               for c in combinations(everything, K + 1)])
+
+
+def instances_by_products(n, K, L, which):
+    ky_max = K * (K + 1) // 2 + 1
+    lx_max = L * (L + 1) // 2 + 1
+    everything = tuple(range(1, n + 1))
+    subsets = [S for size in range(n + 1) for S in combinations(everything, size)]
+    if which == 1:
+        return [h_by_products(k, Y, n, y=True) for k in range(1, ky_max + 1)
+                for size in range(max(0, n - k + 1), n + 1)
+                for Y in combinations(everything, size)]
+    if which == 2:
+        return [product_of_variables(Y, n, y=True) * h_by_products(k, Yp, n, y=True)
+                for Yp in subsets for y_size in range(len(Yp) + 1)
+                for Y in combinations(Yp, y_size)
+                for k in range(1, ky_max + 1) if k + len(Y) > K]
+    out = []
+    for Y in subsets:
+        for X in subsets:
+            yx, xy = set(Y) <= set(X), set(X) <= set(Y)
+            for k in range(1, ky_max + 1):
+                for l in range(1, lx_max + 1):
+                    if which == 3:
+                        hit = (yx or xy) and k + l + len(Y) + len(X) >= 2 * n
+                    else:
+                        hit = yx and k + l + len(Y) > n or xy and k + l + len(X) > n
+                    if hit:
+                        out.append(h_by_products(k, Y, n, y=True) * h_by_products(l, X, n))
+    return out
+
+
+def term_lists(polys):
+    return [(p.n, list(p.terms.items())) for p in polys]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_generators_match_the_product_construction(n):
+    for K in range(n):
+        built = generators(K, n - 1 - K).entries
+        oracle = generators_by_products(K, n - 1 - K)
+        assert [tag for tag, _ in built] == [tag for tag, _ in oracle]
+        assert term_lists(p for _, p in built) == term_lists(p for _, p in oracle)
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(4)))
+def test_instances_match_the_product_construction(K, L):
+    n = K + L + 1
+    for which in (1, 2, 3, 4):
+        assert term_lists(proposition_instances(n, K, L, which)) == term_lists(
+            instances_by_products(n, K, L, which)), which
+
+
+def test_smoke_suite_forms_no_polynomial_product(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("the library multiplied two polynomials")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    rows = checks.run("smoke")
+    assert rows and all(row.passed for _, row in rows)
 
 
 def test_classify_examples():

@@ -14,7 +14,6 @@ from ghbasis.poly import (
     min_monomial,
     mono_key,
     mono_less,
-    monomial_from_orders,
     parse_poly,
     unit_monomial,
 )
@@ -165,9 +164,3 @@ def test_format_fixtures_round_trip():
 @given(poly_strategy())
 def test_parse_format_round_trip(p):
     assert parse_poly(format_poly(p), n=3) == p
-
-
-def test_monomial_from_orders():
-    m = monomial_from_orders(3, {2: 1}, {1: 2})
-    assert m.xexp == (0, 1, 0)
-    assert m.yexp == (2, 0, 0)

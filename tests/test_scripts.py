@@ -1,0 +1,28 @@
+"""The scripts under scripts/ run end to end through their main(argv)."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, argv, capsys):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    status = module.main(argv)
+    return status, capsys.readouterr().out
+
+
+def test_rewrite_trace_reaches_an_oracle_checked_normal_form(capsys):
+    status, out = run_script("rewrite_trace", ["--k", "1", "--l", "2", "y1*x2*x3"], capsys)
+    assert status == 0
+    assert "step 1:" in out and "oracle-checked" in out
+
+
+def test_graded_tables_agree(capsys):
+    # (2,1) and (3,1) are hooks, so their quotient table is compared too.
+    status, out = run_script("graded_tables", ["2,1", "2,2", "3,1"], capsys)
+    assert status == 0
+    assert "DISAGREE" not in out
+    assert out.count("(agree with row 0") == 3 and out.count("(tables agree)") == 2

@@ -151,3 +151,8 @@ def test_verify_21_rank_three():
     mu = Partition((2, 1))
     report = verify_zero_x_degree_basis(mu, build_delta(mu))
     assert report["rank_s"] == report["rank_t"] == report["expected"] == 3
+
+
+def test_verify_rejects_a_delta_of_another_partition():
+    with pytest.raises(ValueError):
+        verify_zero_x_degree_basis(Partition((2, 1)), build_delta(Partition((3,))))
