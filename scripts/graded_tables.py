@@ -5,7 +5,8 @@ For every partition the x-degree-0 row of the closure table is compared
 with the slice that linalg.x_degree_zero_closure computes from the x-parts
 of Delta alone.  For hook partitions the whole table is also computed as the
 graded quotient by the explicit ideal generators; for other partitions only
-the closure is available.
+the closure is available.  The exit status is 1 if any comparison prints
+DISAGREE, else 0.
 
     python3 scripts/graded_tables.py 2,1
     python3 scripts/graded_tables.py 3,1 2,2 1,1,1,1
@@ -33,6 +34,7 @@ def print_table(title, table):
 def main(argv):
     if not argv:
         argv = ["2,1", "2,2", "3,1"]
+    disagreements = 0
     for text in argv:
         mu = parse_partition(text)
         print(f"mu = ({text})  n = {mu.n}  n! = {factorial(mu.n)}")
@@ -42,6 +44,7 @@ def main(argv):
         print_table("closure table", table)
         slice_dim, slice_table = x_degree_zero_closure(delta)
         row = {key: v for key, v in table.items() if key[0] == 0}
+        disagreements += slice_table != row
         print(f"  x-degree-0 slice from the x-parts of Delta: {slice_dim} "
               f"({'agree' if slice_table == row else 'DISAGREE'} with row 0 of the closure table)")
         print_table("x-degree-0 slice", slice_table)
@@ -52,10 +55,11 @@ def main(argv):
             print()
             continue
         qt = quotient_hilbert(hp.K, hp.L)
+        disagreements += qt.table != table
         print(f"  quotient total by ideal generators: {qt.total} "
               f"(tables {'agree' if qt.table == table else 'DISAGREE'})")
         print()
-    return 0
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from operator import add
 from .delta import DeltaPolynomial, build_delta
 from .errors import InvariantError, RewriteDefectError, SizeLimitError
 from .hooks import HookDrawing, enumerate_drawings, s_monomial
-from .linalg import Eliminator
+from .linalg import Eliminator, column
 from .partitions import hook_partition
 from .poly import Monomial, Polynomial, apply_diff_poly, descent_key
 
@@ -535,7 +535,7 @@ def quotient_hilbert(K: int, L: int, limit: int = 7) -> QuotientTable:
 
 def _graded_quotient_dim(standard: dict[tuple[int, int], list[Monomial]],
                          others: list[Polynomial], a: int, b: int) -> int:
-    cols = {m: i for i, m in enumerate(standard[a, b])}
+    cols = {m: column(m) for m in standard[a, b]}
     elim = Eliminator()
     for g in others:
         ga, gb = next(iter(g.terms)).bidegree()

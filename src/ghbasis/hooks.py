@@ -25,6 +25,7 @@ from math import comb, factorial
 
 from .delta import DeltaPolynomial
 from .errors import InvariantError, NoPreimageError, SizeLimitError
+from .partitions import hook_partition
 from .poly import Monomial, Polynomial, apply_diff
 
 DEFAULT_LIMIT = 7
@@ -280,11 +281,21 @@ def reconstruct(part: CrossDiagram, from_s: bool, K: int, L: int) -> HookDrawing
     return d
 
 
+def _require_hook_delta(drawings, delta: DeltaPolynomial) -> None:
+    """Raise ValueError unless delta is Delta of the hook of every drawing's
+    shape: K y-places and L x-places make the hook (K+1, 1^L)."""
+    for K, L in {(d.shape.kinds.count("y"), d.shape.kinds.count("x")) for d in drawings}:
+        if delta.mu != (mu := hook_partition(K, L)):
+            raise ValueError(f"Delta of {delta.mu} given for drawings of the hook {mu}")
+
+
 def is_son(parent: HookDrawing, candidate: HookDrawing, delta: DeltaPolynomial) -> bool:
     """True iff applying the candidate's crosses then the parent's whites to
-    Delta leaves a nonzero constant: the definition of a son (see son_edges)."""
+    Delta leaves a nonzero constant: the definition of a son (see son_edges).
+    A Delta of another hook raises ValueError."""
     if parent == candidate:
         raise ValueError("son relation requires two different drawings")
+    _require_hook_delta((parent, candidate), delta)
     n = delta.n
     image = apply_diff(s_monomial(candidate, n), delta.value)
     image = apply_diff(t_monomial(parent, n), image)
@@ -292,7 +303,10 @@ def is_son(parent: HookDrawing, candidate: HookDrawing, delta: DeltaPolynomial) 
 
 
 def cross_images(drawings: list[HookDrawing], delta: DeltaPolynomial) -> list[Polynomial]:
-    """The image of Delta under each drawing's cross operator, in drawing order."""
+    """The image of Delta under each drawing's cross operator, in drawing order.
+
+    A Delta of another hook than the drawings' raises ValueError."""
+    _require_hook_delta(drawings, delta)
     return [apply_diff(s_monomial(d, delta.n), delta.value) for d in drawings]
 
 
@@ -318,7 +332,8 @@ def son_edges(drawings: list[HookDrawing], images: list[Polynomial]) -> dict[int
 
 def descendant_graph(K: int, L: int, delta: DeltaPolynomial,
                      limit: int = DEFAULT_LIMIT) -> tuple[list[HookDrawing], dict[int, list[int]], bool]:
-    """(drawings, son edges by index, acyclic flag)."""
+    """(drawings, son edges by index, acyclic flag); a Delta of another
+    partition than hook_partition(K, L) raises ValueError, in cross_images."""
     drawings = enumerate_drawings(K, L, limit=limit)
     edges = son_edges(drawings, cross_images(drawings, delta))
     return drawings, edges, is_acyclic(edges)

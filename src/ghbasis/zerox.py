@@ -250,7 +250,12 @@ def _rules_ok(d: GeneralDrawing) -> bool:
 
 
 def check_minimal_monomials(d: GeneralDrawing, delta: DeltaPolynomial) -> bool:
-    """True iff min(dS.Delta) = M_T and min(dT.Delta) = M_S."""
+    """True iff min(dS.Delta) = M_T and min(dT.Delta) = M_S.
+
+    delta must be Delta of d.mu; a Delta of another partition raises ValueError.
+    """
+    if delta.mu != d.mu:
+        raise ValueError(f"Delta of {delta.mu} given for a drawing of {d.mu}")
     s, t = split_general(d)
     return _minimal_monomials_ok(s, t, apply_diff(s, delta.value), apply_diff(t, delta.value))
 

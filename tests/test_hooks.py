@@ -26,7 +26,7 @@ from ghbasis.hooks import (
     split,
     t_monomial,
 )
-from ghbasis.partitions import hook_partition
+from ghbasis.partitions import Partition, hook_partition
 from ghbasis.poly import apply_diff, format_monomial, parse_poly
 
 
@@ -184,6 +184,23 @@ def test_is_son_examples():
     # exhaustive: no son edges at all for n = 3
     count = sum(is_son(a, b, delta) for a in drawings for b in drawings if a != b)
     assert count == 0
+
+
+def test_cross_images_reject_a_delta_of_another_hook():
+    with pytest.raises(ValueError):
+        cross_images(enumerate_drawings(1, 1), build_delta(Partition((3,))))
+
+
+def test_is_son_rejects_a_delta_of_another_hook():
+    parent, candidate = enumerate_drawings(1, 1)[:2]
+    with pytest.raises(ValueError):
+        is_son(parent, candidate, build_delta(Partition((3,))))
+
+
+def test_descendant_graph_rejects_a_delta_of_another_partition():
+    # (2,2) has n = 4 like the hook (2,1,1), so only the partition check catches it.
+    with pytest.raises(ValueError):
+        descendant_graph(1, 2, build_delta(Partition((2, 2))))
 
 
 @pytest.mark.parametrize("K,L", list(hooks_up_to(5)))

@@ -4,19 +4,21 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from ghbasis import linalg
-from ghbasis.annihilator import quotient_hilbert
+from ghbasis import annihilator, linalg
+from ghbasis.annihilator import _bidegree_monomials, quotient_hilbert
 from ghbasis.delta import DeltaPolynomial, build_delta
 from ghbasis.errors import InvariantError
 from ghbasis.hooks import cross_images, enumerate_drawings
 from ghbasis.linalg import (
     Eliminator,
+    column,
     derivative_closure,
     homogeneous_family_rank,
     x_degree_zero_closure,
 )
 from ghbasis.partitions import Partition, hook_partition, partitions_of
-from ghbasis.poly import parse_poly
+from ghbasis.poly import apply_diff, mono_key, parse_poly
+from ghbasis.zerox import enumerate_general, split_general
 
 
 def rank(rows):
@@ -99,14 +101,6 @@ def test_derivative_closure_examples():
     assert dim22 == 24
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_derivative_closure_factorial_for_hooks(n):
-    from math import factorial
-    for K in range(n):
-        dim, _ = derivative_closure(build_delta(hook_partition(K, n - 1 - K)))
-        assert dim == factorial(n)
-
-
 @pytest.mark.parametrize("mu", [mu for n in range(1, 6) for mu in partitions_of(n)]
                          + [Partition((3, 2, 1))], ids=str)
 def test_x_degree_zero_closure_matches_full_closure(mu):
@@ -130,6 +124,83 @@ def test_homogeneous_family_rank_groups_by_bidegree():
     polys = [parse_poly("x1", 2), parse_poly("y1", 2), parse_poly("x1 + x2", 2),
              parse_poly("0", 2)]
     assert homogeneous_family_rank(polys) == 3
+
+
+def test_homogeneous_family_rank_takes_exponents_past_255():
+    polys = [parse_poly(text, 2) for text in ("x1^300 + x2^300", "x1^300 - x2^300", "x2^300")]
+    assert homogeneous_family_rank(polys) == 2
+
+
+def test_homogeneous_family_rank_rejects_a_polynomial_of_mixed_bidegree():
+    # column(x1) == column(y1^2) == -2, so without the check the rank would read 1.
+    with pytest.raises(ValueError):
+        homogeneous_family_rank([parse_poly("x1 + y1^2", 1), parse_poly("x1", 1)])
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(4) for b in range(4)])
+def test_column_orders_each_bidegree_as_mono_key(a, b):
+    monomials = list(_bidegree_monomials(a, b, 3))
+    assert sorted(monomials, key=column) == sorted(monomials, key=mono_key)
+    assert len({column(m) for m in monomials}) == len(monomials)
+
+
+def image_families(mu):
+    """The cross and the white image families of mu's drawings."""
+    delta = build_delta(mu)
+    halves = [split_general(d) for d in enumerate_general(mu)]
+    return ([apply_diff(s, delta.value) for s, _ in halves],
+            [apply_diff(t, delta.value) for _, t in halves])
+
+
+@pytest.mark.parametrize("mu", [mu for n in range(1, 6) for mu in partitions_of(n)], ids=str)
+def test_image_families_arrive_in_echelon_form(mu, monkeypatch):
+    # Each image leads at its own minimal monomial and no two leads coincide,
+    # so in the mono_less column order no row takes an elimination step.
+    stepped = []
+
+    def spy(row, pivots):
+        out = eliminate(row, pivots)
+        stepped.append(out != row)
+        return out
+
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    for family in image_families(mu):
+        assert homogeneous_family_rank(family) == len(family)
+    assert stepped and not any(stepped)
+
+
+def with_reversed_columns(monkeypatch, compute):
+    """compute() in the mono_less column order, then in the reverse order."""
+    forward = compute()
+
+    def reverse(m, column=linalg.column):
+        return -column(m)
+
+    for module in (linalg, annihilator):
+        monkeypatch.setattr(module, "column", reverse)
+    return forward, compute()
+
+
+@pytest.mark.parametrize("mu", [mu for n in range(1, 6) for mu in partitions_of(n)], ids=str)
+def test_closures_do_not_depend_on_the_column_order(mu, monkeypatch):
+    delta = build_delta(mu)
+    forward, reverse = with_reversed_columns(
+        monkeypatch, lambda: (derivative_closure(delta), x_degree_zero_closure(delta)))
+    assert forward == reverse
+
+
+@pytest.mark.parametrize("K,L", [(K, n - 1 - K) for n in range(1, 6) for K in range(n)])
+def test_cross_image_rank_does_not_depend_on_the_column_order(K, L, monkeypatch):
+    images = cross_images(enumerate_drawings(K, L), build_delta(hook_partition(K, L)))
+    forward, reverse = with_reversed_columns(monkeypatch, lambda: homogeneous_family_rank(images))
+    assert forward == reverse
+
+
+@pytest.mark.parametrize("K,L", [(K, n - 1 - K) for n in range(1, 5) for K in range(n)])
+def test_quotient_does_not_depend_on_the_column_order(K, L, monkeypatch):
+    forward, reverse = with_reversed_columns(monkeypatch, lambda: quotient_hilbert(K, L))
+    assert forward == reverse
 
 
 def full_reduction_eliminate(row, pivots):

@@ -6,11 +6,15 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, argv, capsys):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    status = module.main(argv)
+    return module
+
+
+def run_script(name, argv, capsys, module=None):
+    status = (module or load_script(name)).main(argv)
     return status, capsys.readouterr().out
 
 
@@ -26,3 +30,11 @@ def test_graded_tables_agree(capsys):
     assert status == 0
     assert "DISAGREE" not in out
     assert out.count("(agree with row 0") == 3 and out.count("(tables agree)") == 2
+
+
+def test_graded_tables_fails_when_a_comparison_disagrees(capsys, monkeypatch):
+    module = load_script("graded_tables")
+    monkeypatch.setattr(module, "x_degree_zero_closure", lambda delta: (0, {(0, 0): 2}))
+    status, out = run_script("graded_tables", ["2,1"], capsys, module)
+    assert status == 1
+    assert "DISAGREE" in out

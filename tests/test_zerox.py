@@ -121,6 +121,14 @@ def test_minimal_monomial_examples():
     assert format_monomial(t) == "y1"
 
 
+def test_minimal_monomials_reject_a_delta_of_another_partition():
+    # (1,1,1) has n = 3 like (2,1), so only the partition check catches it.
+    delta = build_delta(Partition((1, 1, 1)))
+    for d in enumerate_general(Partition((2, 1))):
+        with pytest.raises(ValueError):
+            check_minimal_monomials(d, delta)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_minimal_monomials_and_distinctness(n):
     for mu in partitions_of(n):
