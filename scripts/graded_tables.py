@@ -6,7 +6,8 @@ with the slice that linalg.x_degree_zero_closure computes from the x-parts
 of Delta alone.  For hook partitions the whole table is also computed as the
 graded quotient by the explicit ideal generators; for other partitions only
 the closure is available.  The exit status is 1 if any comparison prints
-DISAGREE, else 0.
+DISAGREE, else 0; as for ghbasis, it is 2 for input that names no partition
+and 3 when a size limit is exceeded, each with one line on stderr.
 
     python3 scripts/graded_tables.py 2,1
     python3 scripts/graded_tables.py 3,1 2,2 1,1,1,1
@@ -16,7 +17,8 @@ import sys
 
 from ghbasis.annihilator import quotient_hilbert
 from ghbasis.delta import build_delta
-from ghbasis.errors import NotAHookError
+from ghbasis.cli import EXIT_SIZE_LIMIT, EXIT_USAGE
+from ghbasis.errors import NotAHookError, PartitionError, SizeLimitError
 from ghbasis.linalg import derivative_closure, x_degree_zero_closure
 from ghbasis.partitions import hook_params, parse_partition
 from math import factorial
@@ -32,13 +34,22 @@ def print_table(title, table):
 
 
 def main(argv):
-    if not argv:
-        argv = ["2,1", "2,2", "3,1"]
+    try:
+        return compare(argv or ["2,1", "2,2", "3,1"])
+    except PartitionError as exc:
+        print(f"graded_tables: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SizeLimitError as exc:
+        print(f"graded_tables: size limit: {exc}", file=sys.stderr)
+        return EXIT_SIZE_LIMIT
+
+
+def compare(texts):
     disagreements = 0
-    for text in argv:
-        mu = parse_partition(text)
-        print(f"mu = ({text})  n = {mu.n}  n! = {factorial(mu.n)}")
+    # Every argument is parsed before anything is printed.
+    for text, mu in [(text, parse_partition(text)) for text in texts]:
         delta = build_delta(mu)
+        print(f"mu = ({text})  n = {mu.n}  n! = {factorial(mu.n)}")
         dim, table = derivative_closure(delta)
         print(f"  dim M_mu by derivative closure: {dim}")
         print_table("closure table", table)

@@ -2,7 +2,9 @@
 """Trace the rewriting of a monomial operator into the drawing basis.
 
 Shows each anomaly classification and the replacement it triggers, then the
-final normal form and the oracle check against Delta_mu.
+final normal form and the oracle check against Delta_mu.  As for ghbasis,
+the exit status is 2 for input that names no hook or monomial and 3 when a
+size limit is exceeded, each with one line on stderr.
 
     python3 scripts/rewrite_trace.py --k 1 --l 2 "y1*x2*x3"
 """
@@ -11,8 +13,10 @@ import argparse
 import sys
 
 from ghbasis.annihilator import classify_diagram, normal_form, reduce_step
+from ghbasis.cli import EXIT_SIZE_LIMIT, EXIT_USAGE, UsageError
 from ghbasis.delta import build_delta
-from ghbasis.hooks import s_monomial
+from ghbasis.errors import PartitionError, PolynomialSyntaxError, SizeLimitError
+from ghbasis.hooks import split
 from ghbasis.partitions import hook_partition
 from ghbasis.poly import descent_key, format_monomial, parse_poly
 
@@ -23,11 +27,21 @@ def main(argv):
     parser.add_argument("--l", type=int, required=True)
     parser.add_argument("operator")
     args = parser.parse_args(argv)
-    K, L, n = args.k, args.l, args.k + args.l + 1
+    try:
+        return trace(args.k, args.l, args.operator)
+    except (PartitionError, PolynomialSyntaxError, UsageError) as exc:
+        print(f"rewrite_trace: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SizeLimitError as exc:
+        print(f"rewrite_trace: size limit: {exc}", file=sys.stderr)
+        return EXIT_SIZE_LIMIT
 
-    poly = parse_poly(args.operator, n=n)
-    if len(poly.terms) != 1:
-        parser.error("operator must be a single monomial")
+
+def trace(K, L, operator):
+    mu = hook_partition(K, L)
+    poly = parse_poly(operator, n=mu.n)
+    if len(poly.terms) != 1 or next(iter(poly.terms.values())) != 1:
+        raise UsageError("operator must be a single monic monomial")
     op = next(iter(poly.terms))
 
     # worklist trace: rewrite the descent-largest non-drawing monomial first
@@ -54,12 +68,12 @@ def main(argv):
                    if classify_diagram(mm, K, L).case == "null-operator"]:
             del work[mm]
 
-    delta = build_delta(hook_partition(K, L))
+    delta = build_delta(mu)
     nf = normal_form(op, K, L, delta=delta, validate=True)
     print(f"\nnormal form of {format_monomial(op) or '1'} "
           f"({len(nf)} drawing terms, oracle-checked):")
-    for d, c in sorted(nf.items(), key=lambda item: format_monomial(s_monomial(item[0], n))):
-        print(f"    {c:+d} * d[{format_monomial(s_monomial(d, n)) or '1'}]")
+    for text, c in sorted((format_monomial(split(d)[0]) or "1", c) for d, c in nf.items()):
+        print(f"    {c:+d} * d[{text}]")
     return 0
 
 

@@ -41,13 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, product, starmap
 from math import comb
 from operator import add
 
 from .delta import DeltaPolynomial, build_delta
 from .errors import InvariantError, RewriteDefectError, SizeLimitError
-from .hooks import HookDrawing, enumerate_drawings, s_monomial
+from .hooks import HookDrawing, enumerate_drawings, split
 from .linalg import Eliminator, column
 from .partitions import hook_partition
 from .poly import Monomial, Polynomial, apply_diff_poly, descent_key
@@ -95,6 +95,20 @@ def _h_exponents(degree: int, indices: tuple[int, ...], n: int):
 def _ones(indices: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Exponent vector of the squarefree product over the 1-based indices."""
     return tuple(int(i in indices) for i in range(1, n + 1))
+
+
+def _by_degree(top: int, n: int) -> list[list[tuple[int, ...]]]:
+    """The exponent vectors in n variables of each degree 0..top: the
+    monomials of h_0..h_top over all n places."""
+    return [list(_h_exponents(d, tuple(range(1, n + 1)), n)) for d in range(top + 1)]
+
+
+def bounded_operators(n: int, bx: int, by: int):
+    """Every monomial operator of x-degree <= bx and y-degree <= by;
+    there are comb(bx + n, n) * comb(by + n, n) of them."""
+    xs = chain.from_iterable(_by_degree(bx, n))
+    ys = chain.from_iterable(_by_degree(by, n))
+    return starmap(Monomial, product(xs, ys))
 
 
 @dataclass(frozen=True)
@@ -217,8 +231,7 @@ def proposition_instances(n: int, K: int, L: int, which: int):
 
 @lru_cache(maxsize=None)
 def _s_index(K: int, L: int) -> dict[Monomial, HookDrawing]:
-    n = K + L + 1
-    return {s_monomial(d, n): d for d in enumerate_drawings(K, L)}
+    return {split(d)[0]: d for d in enumerate_drawings(K, L)}
 
 
 def classify_diagram(op: Monomial, K: int, L: int) -> AnomalyClass:
@@ -474,21 +487,6 @@ def normal_form(op: Monomial, K: int, L: int,
 # graded quotient dimensions
 # ---------------------------------------------------------------------------
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _bidegree_monomials(a: int, b: int, n: int):
-    for xe in _compositions(a, n):
-        for ye in _compositions(b, n):
-            yield Monomial(xe, ye)
-
-
 @dataclass(frozen=True)
 class QuotientTable:
     K: int
@@ -519,7 +517,8 @@ def quotient_hilbert(K: int, L: int, limit: int = 7) -> QuotientTable:
     others = [g for g in gens if len(g.terms) > 1]
     amax = L * (L + 1) // 2
     bmax = K * (K + 1) // 2
-    standard = {(a, b): [m for m in _bidegree_monomials(a, b, n)
+    hx, hy = _by_degree(amax + 1, n), _by_degree(bmax + 1, n)
+    standard = {(a, b): [m for m in starmap(Monomial, product(hx[a], hy[b]))
                          if not any(g.divides(m) for g in monomials)]
                 for a in range(amax + 2) for b in range(bmax + 2)}
 

@@ -20,19 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import factorial
 from typing import Callable
 
-from .annihilator import annihilates, generators, normal_form, proposition_instances, quotient_hilbert
+from .annihilator import (annihilates, bounded_operators, generators, normal_form,
+                          proposition_instances, quotient_hilbert)
 from .delta import build_delta
 from .errors import RewriteDefectError
 from .hooks import (
     DEFAULT_LIMIT as HOOK_LIMIT,
     closed_form_count,
     cross_images,
-    diagram_of_monomial,
-    diff_op_of,
     enumerate_drawings,
     flip,
     is_acyclic,
@@ -42,7 +40,7 @@ from .hooks import (
 )
 from .linalg import derivative_closure, homogeneous_family_rank
 from .partitions import conjugate_factorial, hook_partition, partitions_of
-from .poly import Monomial, format_monomial, format_poly, parse_poly
+from .poly import format_monomial, format_poly, parse_poly
 from .zerox import DEFAULT_LIMIT as BAR_LIMIT
 from .zerox import corner_recursion_check, count_check, verify_zero_x_degree_basis
 
@@ -124,16 +122,6 @@ class HookContext:
     def son_edges(self) -> dict[int, list[int]]:
         """Son edges by index into ``drawings``."""
         return son_edges(self.drawings, self.cross_images)
-
-
-def bounded_operators(n: int, bx: int, by: int):
-    """Every monomial operator of x-degree <= bx and y-degree <= by."""
-    for xe in product(range(bx + 1), repeat=n):
-        if sum(xe) > bx:
-            continue
-        for ye in product(range(by + 1), repeat=n):
-            if sum(ye) <= by:
-                yield Monomial(xe, ye)
 
 
 def flip_dual(drawings, edges: dict[int, list[int]]) -> bool:
@@ -262,9 +250,8 @@ def _corner_recursion(nmax: int) -> list[Check]:
 def _worked_operator(_bound) -> list[Check]:
     fixture = "y1^2*x2*x4*x5^2*y6"
     op = next(iter(parse_poly(fixture, n=8).terms))
-    drawing = reconstruct(diagram_of_monomial(op, 7), True, 3, 4)
-    return [Check("worked operator round-trip", fixture,
-                  format_monomial(diff_op_of(split(drawing)[0], 8)))]
+    drawing = reconstruct(op, True, 3, 4)
+    return [Check("worked operator round-trip", fixture, format_monomial(split(drawing)[0]))]
 
 
 def _monomial_fixtures(_bound) -> list[Check]:

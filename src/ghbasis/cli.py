@@ -29,7 +29,7 @@ from .errors import (
     RewriteDefectError,
     SizeLimitError,
 )
-from .hooks import s_monomial
+from .hooks import split
 from .partitions import hook_partition, parse_partition
 from .poly import format_poly, format_monomial, parse_poly
 
@@ -210,14 +210,13 @@ def _cmd_hooks(args, report: Report) -> None:
 
 
 def _normal_form(args, ctx: HookContext, report: Report) -> None:
-    n = ctx.n
-    poly = parse_poly(args.op, n=n)
+    poly = parse_poly(args.op, n=ctx.n)
     if len(poly.terms) != 1 or next(iter(poly.terms.values())) != 1:
         raise UsageError("--op must be a single monic monomial")
     op = next(iter(poly.terms))
     nf = normal_form(op, ctx.K, ctx.L, delta=ctx.delta, validate=True)
-    for d, c in sorted(nf.items(), key=lambda item: format_monomial(s_monomial(item[0], n))):
-        report.extra_lines.append(f"{c} * d[{format_monomial(s_monomial(d, n)) or '1'}]")
+    for text, c in sorted((format_monomial(split(d)[0]) or "1", c) for d, c in nf.items()):
+        report.extra_lines.append(f"{c} * d[{text}]")
     report.checks.append(Check("normal form applies back to op(d)Delta", True, True))
     report.extra_lines.append(f"{len(nf)} drawing terms")
 

@@ -33,7 +33,9 @@ def build_delta(mu: Partition, limit: int = DEFAULT_LIMIT) -> DeltaPolynomial:
     """Expand the determinant as a signed sum over all n! permutations.
 
     The sign convention makes the identity permutation positive; downstream
-    checks are insensitive to the global sign.
+    checks are insensitive to the global sign.  The biexponents of mu are
+    distinct, so distinct permutations give distinct monomials and no two
+    terms cancel: Delta has exactly n! terms, each with coefficient +-1.
     """
     n = mu.n
     if n > limit:
@@ -48,12 +50,7 @@ def build_delta(mu: Partition, limit: int = DEFAULT_LIMIT) -> DeltaPolynomial:
             p, q = cols[sigma[i]]
             xe[i] = p
             ye[i] = q
-        m = Monomial(tuple(xe), tuple(ye))
-        s = terms.get(m, 0) + sign
-        if s:
-            terms[m] = s
-        else:
-            terms.pop(m, None)
+        terms[Monomial(tuple(xe), tuple(ye))] = sign
     value = Polynomial(n, terms)
     return DeltaPolynomial(value=value, mu=mu, bidegree=(n_stat(mu), n_stat(conjugate(mu))))
 

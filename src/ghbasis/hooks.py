@@ -12,6 +12,7 @@ of depths L, L-1, ..., 1 below it.  A drawing puts crosses in the columns:
 
 Places are numbered 1..n-1 left to right and bound to variable indices, so
 a drawing D encodes the operator dD = prod dx_i^(x-crosses) dy_i^(y-crosses).
+Its cross half S and white half T are monomials, as for bar drawings.
 There are exactly n! drawings, they are closed under the cross/white flip,
 and either half of the cross/white split determines the drawing.
 """
@@ -53,17 +54,6 @@ class HookDrawing:
                 for k, s, c in zip(self.shape.kinds, self.shape.sizes, self.crosses)
             ]
         }
-
-
-@dataclass(frozen=True)
-class CrossDiagram:
-    """Per-place (x_order, y_order) pairs; the S or T half of a drawing."""
-
-    orders: tuple[tuple[int, int], ...]
-
-    @property
-    def places(self) -> int:
-        return len(self.orders)
 
 
 def _shape_from_y_places(y_places, K: int, L: int) -> HookShape:
@@ -179,69 +169,50 @@ def flip(d: HookDrawing) -> HookDrawing:
     )
 
 
-def split(d: HookDrawing) -> tuple[CrossDiagram, CrossDiagram]:
-    """(S, T): the cross half and the white half of the drawing."""
-    s_orders = []
-    t_orders = []
-    for kind, size, c in zip(d.shape.kinds, d.shape.sizes, d.crosses):
-        if kind == "x":
-            s_orders.append((c, 0))
-            t_orders.append((size - c, 0))
-        else:
-            s_orders.append((0, c))
-            t_orders.append((0, size - c))
-    return CrossDiagram(tuple(s_orders)), CrossDiagram(tuple(t_orders))
+def split(d: HookDrawing) -> tuple[Monomial, Monomial]:
+    """(S, T): the cross half and the white half of the drawing as monomials
+    in n = K+L+1 variables; place i carries x_i or y_i, and x_n = y_n = 0."""
+    kinds = d.shape.kinds
+
+    def half(orders) -> Monomial:
+        return Monomial(*(tuple(o if k == kind else 0 for k, o in zip(kinds, orders)) + (0,)
+                          for kind in "xy"))
+
+    return half(d.crosses), half(flip(d).crosses)
 
 
-def diff_op_of(s: CrossDiagram, n: int) -> Monomial:
-    """The monomial operator of a diagram: orders at place i act on x_i / y_i."""
-    if s.places > n:
-        raise ValueError(f"diagram has {s.places} places but ambient n is {n}")
-    xe = [0] * n
-    ye = [0] * n
-    for place, (xo, yo) in enumerate(s.orders, start=1):
-        xe[place - 1] = xo
-        ye[place - 1] = yo
-    return Monomial(tuple(xe), tuple(ye))
+def diff_op_of(half: Monomial, n: int) -> Monomial:
+    """The half as an operator in n >= half.n variables, padded with zero orders."""
+    if half.n > n:
+        raise ValueError(f"half has {half.n} variables but ambient n is {n}")
+    pad = (0,) * (n - half.n)
+    return Monomial(half.xexp + pad, half.yexp + pad)
 
 
-def diagram_of_monomial(m: Monomial, places: int) -> CrossDiagram:
-    if any(m.xexp[places:]) or any(m.yexp[places:]):
-        raise ValueError(f"monomial touches variables beyond place {places}")
-    return CrossDiagram(tuple((m.xexp[i], m.yexp[i]) for i in range(places)))
-
-
-def s_monomial(d: HookDrawing, n: int) -> Monomial:
-    return diff_op_of(split(d)[0], n)
-
-
-def t_monomial(d: HookDrawing, n: int) -> Monomial:
-    return diff_op_of(split(d)[1], n)
-
-
-def reconstruct(part: CrossDiagram, from_s: bool, K: int, L: int) -> HookDrawing:
+def reconstruct(part: Monomial, from_s: bool, K: int, L: int) -> HookDrawing:
     """The unique drawing whose S (resp. T) half equals part.
 
     Left-to-right completion: a place holding crosses becomes the next
     column of that kind; an empty place becomes an x-column exactly when the
     x-crosses to its right still fit with one x-column consumed here, else a
-    y-column.  The completed drawing is validated against the rules and the
-    requested half; reconstruction from T uses the flip symmetry.
+    y-column.  The completed drawing carries part's orders at places 1..n-1,
+    so it has part as its S half once variable n is known to be 0; it is
+    validated against the rules.  Reconstruction from T is the flip of the
+    drawing whose S half is part.
     """
-    if part.places != K + L:
-        raise NoPreimageError(f"diagram has {part.places} places, expected {K + L}")
+    n = K + L + 1
+    if part.n != n:
+        raise NoPreimageError(f"monomial ambient {part.n} != n = {n}")
+    if part.xexp[-1] or part.yexp[-1]:
+        raise NoPreimageError("diagram touches variable n; drawings have n-1 places")
     if not from_s:
-        flipped = reconstruct(part, True, K, L)
-        d = flip(flipped)
-        if split(d)[1] != part:
-            raise NoPreimageError("white half mismatch after flip reconstruction")
-        return d
+        return flip(reconstruct(part, True, K, L))
 
     places = K + L
     kinds: list[str] = []
     ny = nx = 0
     for place in range(places):
-        xo, yo = part.orders[place]
+        xo, yo = part.xexp[place], part.yexp[place]
         if xo and yo:
             raise NoPreimageError("a drawing place holds crosses of one kind only")
         if yo:
@@ -252,7 +223,7 @@ def reconstruct(part: CrossDiagram, from_s: bool, K: int, L: int) -> HookDrawing
             # Empty place: x-column iff the x-crossed places to the right can
             # still fit into the remaining depths with one consumed here.
             rem = L - nx
-            right = [part.orders[q][0] for q in range(place + 1, places) if part.orders[q][0]]
+            right = [c for c in part.xexp[place + 1:places] if c]
             fits = rem >= 1 and len(right) <= rem - 1 and all(
                 c <= rem - 1 - j for j, c in enumerate(right)
             )
@@ -269,15 +240,13 @@ def reconstruct(part: CrossDiagram, from_s: bool, K: int, L: int) -> HookDrawing
 
     shape = _shape_from_y_places({p + 1 for p, k in enumerate(kinds) if k == "y"}, K, L)
     crosses = tuple(xo if k == "x" else yo
-                    for (xo, yo), k in zip(part.orders, shape.kinds))
+                    for xo, yo, k in zip(part.xexp, part.yexp, shape.kinds))
     for place in range(places):
         if crosses[place] > shape.sizes[place]:
             raise NoPreimageError(f"cross count exceeds the column size at place {place + 1}")
     d = HookDrawing(shape=shape, crosses=crosses)
     if not is_valid_drawing(d):
         raise NoPreimageError("completed diagram violates the drawing rules")
-    if split(d)[0] != part:
-        raise NoPreimageError("completed drawing does not reproduce the diagram")
     return d
 
 
@@ -296,9 +265,8 @@ def is_son(parent: HookDrawing, candidate: HookDrawing, delta: DeltaPolynomial) 
     if parent == candidate:
         raise ValueError("son relation requires two different drawings")
     _require_hook_delta((parent, candidate), delta)
-    n = delta.n
-    image = apply_diff(s_monomial(candidate, n), delta.value)
-    image = apply_diff(t_monomial(parent, n), image)
+    image = apply_diff(split(candidate)[0], delta.value)
+    image = apply_diff(split(parent)[1], image)
     return image.is_constant() and not image.is_zero()
 
 
@@ -307,7 +275,7 @@ def cross_images(drawings: list[HookDrawing], delta: DeltaPolynomial) -> list[Po
 
     A Delta of another hook than the drawings' raises ValueError."""
     _require_hook_delta(drawings, delta)
-    return [apply_diff(s_monomial(d, delta.n), delta.value) for d in drawings]
+    return [apply_diff(split(d)[0], delta.value) for d in drawings]
 
 
 def son_edges(drawings: list[HookDrawing], images: list[Polynomial]) -> dict[int, list[int]]:
@@ -320,7 +288,7 @@ def son_edges(drawings: list[HookDrawing], images: list[Polynomial]) -> dict[int
     T!); if not, d^T f is zero or a sum of non-constant terms.  So drawing j
     is a son of drawing i (is_son) exactly when T_i is in the support of f.
     """
-    by_white = {t_monomial(d, f.n): i for i, (d, f) in enumerate(zip(drawings, images))}
+    by_white = {split(d)[1]: i for i, d in enumerate(drawings)}
     edges: dict[int, list[int]] = {i: [] for i in range(len(drawings))}
     for j, f in enumerate(images):
         for m in f.terms:

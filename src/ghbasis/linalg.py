@@ -1,10 +1,14 @@
 """Exact rank computations over the integers.
 
-One column order, one block elimination: every exact rank runs through
-:func:`_closure`, whose columns come from :func:`column` in the mono_less
-order of the paper's triangularity proofs.  Triangular families, such as
-cross images, then arrive already in echelon form, and closures and graded
-quotients measured faster than in first-seen or enumeration order.
+One column order: every exact rank eliminates over :func:`column`, the
+mono_less order of the paper's triangularity proofs.  Triangular families,
+such as cross images, then arrive already in echelon form, and closures and
+graded quotients measured faster than in first-seen or enumeration order.
+Every rank of a polynomial family runs through :func:`_closure`.  The one
+exception is the graded quotient (annihilator._graded_quotient_dim): it
+streams each generator-times-monomial row straight into its own
+:class:`Eliminator`, since holding those rows as Polynomials for _closure
+measured a higher peak memory and a slower verdict.
 
 Rank needs only echelon form: a row is reduced until its lead (smallest
 column) is not a pivot column.  Each step clears the lead c with the pivot

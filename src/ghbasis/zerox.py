@@ -283,10 +283,10 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
     xdeg_zero = True
     xdeg_top = True
     triangular = True
-    t_monomials = set()
+    white_halves = set()
     for d in drawings:
         s, t = split_general(d)
-        t_monomials.add(t)
+        white_halves.add(t)
         ps = apply_diff(s, delta.value)
         pt = apply_diff(t, delta.value)
         s_images.append(ps)
@@ -309,7 +309,7 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
         "x_degree_zero_ok": xdeg_zero,
         "x_degree_top_ok": xdeg_top,
         "triangularity_ok": triangular,
-        "distinct_minimal_monomials": len(t_monomials) == len(drawings),
+        "distinct_minimal_monomials": len(white_halves) == len(drawings),
         "rank_s": rank_s,
         "rank_t": rank_t,
         "rank_ok": rank_s == expected and rank_t == expected,

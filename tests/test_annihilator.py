@@ -19,7 +19,7 @@ from ghbasis.annihilator import (
 from ghbasis import annihilator, checks, hooks
 from ghbasis.delta import build_delta
 from ghbasis.errors import SizeLimitError
-from ghbasis.hooks import enumerate_drawings, s_monomial
+from ghbasis.hooks import enumerate_drawings, split
 from ghbasis.linalg import Eliminator, derivative_closure
 from ghbasis.partitions import Partition, hook_partition
 from ghbasis.poly import (
@@ -256,10 +256,9 @@ def test_reduce_step_descends_and_matches_oracle(K, L):
 
 
 def test_normal_form_examples():
-    n = 3
     delta = build_delta(hook_partition(1, 1))
     nf = normal_form(mono("x3", 3), 1, 1, delta=delta, validate=True)
-    rendered = {s_monomial(d, n): c for d, c in nf.items()}
+    rendered = {split(d)[0]: c for d, c in nf.items()}
     assert rendered == {mono("x1", 3): -1, mono("x2", 3): -1}
     assert normal_form(mono("x1*y1", 3), 1, 1, delta=delta, validate=True) == {}
     nf_drawing = normal_form(mono("y1", 3), 1, 1, delta=delta, validate=True)
@@ -330,6 +329,17 @@ def generic_quotient_dim(K, L, a, b):
                 shifted = g * Polynomial.monomial(m)
                 elim.add({cols[t]: c for t, c in shifted.terms.items()})
     return len(cols) - elim.rank
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_bounded_operators_fill_the_box(n):
+    # A4's box holds as many operators as the rewriter's budget counts.
+    for bx in range(4):
+        for by in range(4):
+            ops = list(annihilator.bounded_operators(n, bx, by))
+            assert len(ops) == comb(bx + n, n) * comb(by + n, n)
+            assert set(ops) == {m for a in range(bx + 1) for b in range(by + 1)
+                                for m in bidegree_monomials(a, b, n)}
 
 
 @pytest.mark.parametrize("K,L", list(hooks_up_to(4)))

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +51,15 @@ def test_bidegree_metadata():
 def test_size_limit():
     with pytest.raises(SizeLimitError):
         build_delta(Partition((5, 5)), limit=9)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_permutation_gives_its_own_term(n):
+    # The biexponents of mu are distinct, so no two of the n! terms cancel.
+    for mu in partitions_of(n):
+        terms = build_delta(mu).value.terms
+        assert len(terms) == factorial(n)
+        assert set(terms.values()) <= {1, -1}
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -9,11 +9,9 @@ from ghbasis.checks import HookContext, flip_dual
 from ghbasis.delta import build_delta
 from ghbasis.errors import NoPreimageError
 from ghbasis.hooks import (
-    CrossDiagram,
     closed_form_count,
     cross_images,
     descendant_graph,
-    diagram_of_monomial,
     diff_op_of,
     enumerate_drawings,
     flip,
@@ -21,13 +19,11 @@ from ghbasis.hooks import (
     is_son,
     is_valid_drawing,
     reconstruct,
-    s_monomial,
     son_edges,
     split,
-    t_monomial,
 )
 from ghbasis.partitions import Partition, hook_partition
-from ghbasis.poly import apply_diff, format_monomial, parse_poly
+from ghbasis.poly import Monomial, apply_diff, format_monomial, parse_poly
 
 
 def hooks_up_to(nmax):
@@ -110,8 +106,8 @@ def test_flip_example():
 def test_split_complementarity():
     for d in enumerate_drawings(2, 1):
         s, t = split(d)
-        for (sx, sy), (tx, ty), size, kind in zip(
-                s.orders, t.orders, d.shape.sizes, d.shape.kinds):
+        for sx, sy, tx, ty, size, kind in zip(
+                s.xexp, s.yexp, t.xexp, t.yexp, d.shape.sizes, d.shape.kinds):
             if kind == "x":
                 assert sx + tx == size and sy == ty == 0
             else:
@@ -122,9 +118,37 @@ def test_split_example():
     d = next(d for d in enumerate_drawings(1, 1)
              if d.shape.kinds == ("y", "x") and d.crosses == (1, 0))
     s, t = split(d)
-    assert s.orders == ((0, 1), (0, 0))
-    assert t.orders == ((0, 0), (1, 0))
+    assert s == Monomial((0, 0, 0), (1, 0, 0))
+    assert t == Monomial((0, 1, 0), (0, 0, 0))
     assert format_monomial(diff_op_of(s, 3)) == "y1"
+
+
+def place_monomial(d, orders):
+    """The monomial with orders[i] on x_{i+1} or y_{i+1} by the kind of place i + 1."""
+    n = d.shape.places + 1
+    xe, ye = [0] * n, [0] * n
+    for i, (kind, o) in enumerate(zip(d.shape.kinds, orders)):
+        (xe if kind == "x" else ye)[i] = o
+    return Monomial(tuple(xe), tuple(ye))
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(6)))
+def test_split_halves_are_the_place_monomials(K, L):
+    n = K + L + 1
+    for d in enumerate_drawings(K, L):
+        whites = tuple(size - c for size, c in zip(d.shape.sizes, d.crosses))
+        s, t = split(d)
+        assert (s, t) == (place_monomial(d, d.crosses), place_monomial(d, whites))
+        assert diff_op_of(s, n) == s
+
+
+def test_diff_op_of_pads_and_rejects_a_smaller_ambient():
+    s = split(enumerate_drawings(1, 1)[0])[0]
+    padded = diff_op_of(s, 5)
+    assert padded.n == 5 and padded.xexp[:3] == s.xexp and padded.yexp[:3] == s.yexp
+    assert not any(padded.xexp[3:] + padded.yexp[3:])
+    with pytest.raises(ValueError):
+        diff_op_of(s, 2)
 
 
 @pytest.mark.parametrize("K,L", list(hooks_up_to(6)))
@@ -136,11 +160,31 @@ def test_reconstruct_round_trips(K, L):
 
 
 def test_reconstruct_example_and_failure():
-    diagram = CrossDiagram(orders=((0, 1), (0, 0)))
-    d = reconstruct(diagram, True, 1, 1)
+    d = reconstruct(Monomial((0, 0, 0), (1, 0, 0)), True, 1, 1)
     assert d.shape.kinds == ("y", "x") and d.crosses == (1, 0)
     with pytest.raises(NoPreimageError):
-        reconstruct(CrossDiagram(orders=((0, 2), (0, 0))), True, 1, 1)
+        reconstruct(Monomial((0, 0, 0), (2, 0, 0)), True, 1, 1)
+
+
+@pytest.mark.parametrize("from_s", [True, False])
+def test_reconstruct_rejects_a_monomial_of_another_ambient(from_s):
+    # Negative control: a half of an (n-1)- or (n+1)-variable drawing is not a half here.
+    for part in (Monomial((0, 0), (1, 0)), Monomial((0, 0, 0, 0), (1, 0, 0, 0))):
+        with pytest.raises(NoPreimageError):
+            reconstruct(part, from_s, 1, 1)
+
+
+@pytest.mark.parametrize("from_s", [True, False])
+def test_reconstruct_rejects_a_monomial_on_variable_n(from_s):
+    # Negative control: every half of a drawing has x_n = y_n = 0, and with
+    # either raised the orders at places 1..n-1 still name a drawing.
+    for K, L in hooks_up_to(4):
+        for d in enumerate_drawings(K, L):
+            half = split(d)[0 if from_s else 1]
+            for xn, yn in ((1, 0), (0, 1)):
+                part = Monomial(half.xexp[:-1] + (xn,), half.yexp[:-1] + (yn,))
+                with pytest.raises(NoPreimageError):
+                    reconstruct(part, from_s, K, L)
 
 
 def test_worked_operator_fixture():
@@ -149,24 +193,23 @@ def test_worked_operator_fixture():
     op = next(iter(parse_poly(text, n=8).terms))
     assert op.xexp == (0, 1, 0, 1, 2, 0, 0, 0)
     assert op.yexp == (2, 0, 0, 0, 0, 1, 0, 0)
-    diagram = diagram_of_monomial(op, 7)
-    d = reconstruct(diagram, True, 3, 4)
+    d = reconstruct(op, True, 3, 4)
     assert is_valid_drawing(d)
-    assert format_monomial(diff_op_of(split(d)[0], 8)) == text
+    assert format_monomial(split(d)[0]) == text
 
 
 def test_diff_op_identity():
-    assert diff_op_of(CrossDiagram(orders=((0, 0), (0, 0))), 3).is_unit()
+    identity = diff_op_of(Monomial((0, 0), (0, 0)), 3)
+    assert identity.is_unit() and identity.n == 3
 
 
 def test_full_shape_monomial_has_unit_coefficient():
     # the S + T monomial of any drawing appears in Delta with coefficient +-1
     for K, L in hooks_up_to(6):
-        n = K + L + 1
         delta = build_delta(hook_partition(K, L))
         seen = set()
         for d in enumerate_drawings(K, L):
-            full = s_monomial(d, n).mul(t_monomial(d, n))
+            full = Monomial.mul(*split(d))
             if full in seen:
                 continue
             seen.add(full)
@@ -249,7 +292,7 @@ def test_support_rule_needs_distinct_drawings():
     for K, L in hooks_up_to(4):
         drawings = enumerate_drawings(K, L)
         images = cross_images(drawings, build_delta(hook_partition(K, L)))
-        assert all(t_monomial(d, K + L + 1) in f.terms for d, f in zip(drawings, images))
+        assert all(split(d)[1] in f.terms for d, f in zip(drawings, images))
         assert all(i not in sons for i, sons in son_edges(drawings, images).items())
 
 

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ghbasis import annihilator, linalg
-from ghbasis.annihilator import _bidegree_monomials, quotient_hilbert
+from ghbasis.annihilator import quotient_hilbert
 from ghbasis.delta import DeltaPolynomial, build_delta
 from ghbasis.errors import InvariantError
 from ghbasis.hooks import cross_images, enumerate_drawings
@@ -17,7 +18,7 @@ from ghbasis.linalg import (
     x_degree_zero_closure,
 )
 from ghbasis.partitions import Partition, hook_partition, partitions_of
-from ghbasis.poly import apply_diff, mono_key, parse_poly
+from ghbasis.poly import Monomial, apply_diff, mono_key, parse_poly
 from ghbasis.zerox import enumerate_general, split_general
 
 
@@ -139,7 +140,8 @@ def test_homogeneous_family_rank_rejects_a_polynomial_of_mixed_bidegree():
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(4) for b in range(4)])
 def test_column_orders_each_bidegree_as_mono_key(a, b):
-    monomials = list(_bidegree_monomials(a, b, 3))
+    vectors = {d: [e for e in product(range(d + 1), repeat=3) if sum(e) == d] for d in (a, b)}
+    monomials = [Monomial(xe, ye) for xe in vectors[a] for ye in vectors[b]]
     assert sorted(monomials, key=column) == sorted(monomials, key=mono_key)
     assert len({column(m) for m in monomials}) == len(monomials)
 

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -22,6 +24,22 @@ def test_rewrite_trace_reaches_an_oracle_checked_normal_form(capsys):
     status, out = run_script("rewrite_trace", ["--k", "1", "--l", "2", "y1*x2*x3"], capsys)
     assert status == 0
     assert "step 1:" in out and "oracle-checked" in out
+
+
+@pytest.mark.parametrize("name,argv,status", [
+    ("graded_tables", ["2,1", "2,x"], 2),
+    ("graded_tables", ["5,5"], 3),
+    ("rewrite_trace", ["--k", "1", "--l", "1", "x9"], 2),
+    ("rewrite_trace", ["--k", "-1", "--l", "1", "x1"], 2),
+    ("rewrite_trace", ["--k", "1", "--l", "1", "x1 + x2"], 2),
+    ("rewrite_trace", ["--k", "1", "--l", "1", "5*x3"], 2),
+    ("rewrite_trace", ["--k", "4", "--l", "4", "x1"], 3),
+])
+def test_bad_input_gives_one_stderr_line_and_the_ghbasis_exit_code(name, argv, status, capsys):
+    assert load_script(name).main(argv) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"{name}: ")
 
 
 def test_graded_tables_agree(capsys):
