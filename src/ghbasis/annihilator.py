@@ -25,6 +25,9 @@ polynomial, so each of its terms is a vector of h_k(Y') shifted by the
 squarefree vector of Ybar.  A rewriting step shifts the operator's own
 vectors in the same way.
 
+Delta_mu is alternating, so :func:`annihilates` expands one term per orbit of
+the Young subgroup that fixes the operator, not every term of it.
+
 The rewriting expresses any monomial operator modulo the ideal as an
 integer combination of drawing operators.  A non-drawing diagram is
 classified at its rightmost guilty place and rewritten through the schema
@@ -45,7 +48,7 @@ from itertools import chain, combinations, combinations_with_replacement, produc
 from math import comb
 from operator import add
 
-from .delta import DeltaPolynomial, build_delta
+from .delta import DeltaPolynomial, build_delta, perm_sign
 from .errors import InvariantError, RewriteDefectError, SizeLimitError
 from .hooks import HookDrawing, enumerate_drawings, split
 from .linalg import Eliminator, column
@@ -150,17 +153,109 @@ def generators(K: int, L: int) -> GeneratorSet:
 def annihilates(P: Polynomial, delta: DeltaPolynomial) -> bool:
     """True iff P(d) Delta_mu = 0 exactly.
 
-    Delta is bihomogeneous of bidegree (n(mu), n(mu')), so a term whose
-    x-degree exceeds n(mu) or whose y-degree exceeds n(mu') kills every
-    Delta term outright; when all of P is of that kind no expansion is
-    needed.
+    Delta is bihomogeneous of bidegree (n(mu), n(mu')), so a term of x-degree
+    above n(mu) or y-degree above n(mu') kills it; such terms are dropped
+    first, and P kills Delta when none is left.
+
+    The rest is decided one orbit at a time.  Let H = S_B1 x ... x S_Bk be the
+    Young subgroup generated by the place transpositions (i j) that fix P,
+    where (i j) swaps x_i with x_j and y_i with y_j.  A canonical form has its
+    pairs (x_i, y_i) sorted inside each block.  Each H-orbit O of P's terms,
+    with coefficient c_O, gives its canonical term R_O the weight
+    w_O = c_O |O|, the coefficient sum of the orbit, and
+    Q = sum_O w_O R_O(d) Delta is one expansion.  Delta is alternating, so
+    (hT)(d) Delta = sgn(h) h(T(d) Delta) for every h in H; summing over H
+    gives A_H(Q) = |H| P(d) Delta, where A_H f = sum_h sgn(h) h(f).  A_H sends
+    a monomial that repeats a pair inside a block to 0 and any other to the
+    sign of its sorting permutation times A_H of its canonical form, and the
+    images of distinct canonical forms have disjoint supports.  So P kills
+    Delta exactly when every canonical sum of Q's signed coefficients is 0.
+    When H is trivial, those sums are Q itself, the full expansion.
     """
     if P.n != delta.n:
         raise ValueError(f"operator ambient {P.n} != Delta ambient {delta.n}")
     bx, by = delta.bidegree
-    if all(m.xdeg() > bx or m.ydeg() > by for m in P.terms):
+    terms = {m: c for m, c in P.terms.items() if sum(m.xexp) <= bx and sum(m.yexp) <= by}
+    if not terms:
         return True
-    return apply_diff_poly(P, delta.value).is_zero()
+    blocks = _stabilizer_blocks(terms, P.n)
+    weights: dict[tuple, int] = {}
+    for m, c in terms.items():
+        form = _sorted_form(m, blocks)
+        weights[form] = weights.get(form, 0) + c
+    operator = Polynomial(P.n, {Monomial(*zip(*form)): w for form, w in weights.items()})
+    sums: dict[tuple, int] = {}
+    for m, c in apply_diff_poly(operator, delta.value).terms.items():
+        form, sign = _signed_form(m, blocks)
+        if sign:
+            sums[form] = sums.get(form, 0) + sign * c
+    return not any(sums.values())
+
+
+def _stabilizer_blocks(terms: dict[Monomial, int], n: int) -> list[tuple[int, ...]]:
+    """The blocks of size > 1 (0-based places) of the Young subgroup that the
+    place transpositions mapping terms onto itself generate, by union-find.
+
+    Such a transposition permutes the terms, so places i and j have equal
+    exponent sums over the terms; only those pairs are tested.
+    """
+    column_sums = list(zip(map(sum, zip(*(m.xexp for m in terms))),
+                           map(sum, zip(*(m.yexp for m in terms)))))
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in combinations(range(n), 2):
+        if column_sums[i] != column_sums[j]:
+            continue
+        ri, rj = find(i), find(j)
+        if ri != rj and _swap_fixes(terms, i, j):
+            root[rj] = ri
+    blocks: dict[int, list[int]] = {}
+    for k in range(n):
+        blocks.setdefault(find(k), []).append(k)
+    return [tuple(b) for b in blocks.values() if len(b) > 1]
+
+
+def _swap_fixes(terms: dict[Monomial, int], i: int, j: int) -> bool:
+    """True iff swapping places i and j (0-based) maps terms onto itself."""
+    for (x, y), c in terms.items():
+        if x[i] == x[j] and y[i] == y[j]:
+            continue
+        sx, sy = list(x), list(y)
+        sx[i], sx[j] = x[j], x[i]
+        sy[i], sy[j] = y[j], y[i]
+        if terms.get(Monomial(tuple(sx), tuple(sy))) != c:
+            return False
+    return True
+
+
+def _sorted_form(m: Monomial, blocks: list[tuple[int, ...]]) -> tuple:
+    """The canonical form of m: its pairs (x_i, y_i), sorted inside each block."""
+    pairs = list(zip(*m))
+    for block in blocks:
+        for k, p in zip(block, sorted([pairs[k] for k in block])):
+            pairs[k] = p
+    return tuple(pairs)
+
+
+def _signed_form(m: Monomial, blocks: list[tuple[int, ...]]) -> tuple[tuple | None, int]:
+    """The canonical form of m and the sign of its sorting permutation;
+    (None, 0) when a block repeats a pair."""
+    pairs = list(zip(*m))
+    sign = 1
+    for block in blocks:
+        inside = [pairs[k] for k in block]
+        if len(set(inside)) < len(inside):
+            return None, 0
+        order = sorted(range(len(inside)), key=inside.__getitem__)
+        sign *= perm_sign(order)
+        for k, o in zip(block, order):
+            pairs[k] = inside[o]
+    return tuple(pairs), sign
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ to the Vandermonde determinant in x or y.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -43,7 +44,7 @@ def build_delta(mu: Partition, limit: int = DEFAULT_LIMIT) -> DeltaPolynomial:
     cols = [b.as_pair() for b in biexponents(mu)]
     terms: dict[Monomial, int] = {}
     for sigma in permutations(range(n)):
-        sign = _perm_sign(sigma)
+        sign = perm_sign(sigma)
         xe = [0] * n
         ye = [0] * n
         for i in range(n):
@@ -55,7 +56,9 @@ def build_delta(mu: Partition, limit: int = DEFAULT_LIMIT) -> DeltaPolynomial:
     return DeltaPolynomial(value=value, mu=mu, bidegree=(n_stat(mu), n_stat(conjugate(mu))))
 
 
-def _perm_sign(sigma: tuple[int, ...]) -> int:
+def perm_sign(sigma: Sequence[int]) -> int:
+    """The sign of the permutation k -> sigma[k] of range(len(sigma)): -1 for
+    each cycle of even length."""
     seen = [False] * len(sigma)
     sign = 1
     for start in range(len(sigma)):

@@ -169,7 +169,7 @@ def reconstruct_general(part: Monomial, from_s: bool, mu: Partition) -> GeneralD
     """Unique drawing with the given S (or T) diagram, built left to right."""
     n = mu.n
     if part.n != n:
-        raise ValueError(f"monomial ambient {part.n} != n = {n}")
+        raise NoPreimageError(f"monomial ambient {part.n} != n = {n}")
     if part.xexp[n - 1] or part.yexp[n - 1]:
         raise NoPreimageError("diagram touches variable n; drawings have n-1 places")
     if from_s:

@@ -21,11 +21,12 @@ from ghbasis.delta import build_delta
 from ghbasis.errors import SizeLimitError
 from ghbasis.hooks import enumerate_drawings, split
 from ghbasis.linalg import Eliminator, derivative_closure
-from ghbasis.partitions import Partition, hook_partition
+from ghbasis.partitions import Partition, hook_partition, partitions_of
 from ghbasis.poly import (
     Monomial,
     Polynomial,
     apply_diff,
+    apply_diff_poly,
     descent_key,
     format_poly,
     parse_poly,
@@ -70,6 +71,89 @@ def test_annihilates_rejects_another_ambient(text, n):
     # x1^9 is past the x-degree of Delta, which once skipped the ambient check.
     with pytest.raises(ValueError):
         annihilates(parse_poly(text, n), build_delta(hook_partition(1, 1)))
+
+
+def perturbed_copies(P):
+    """P with one term dropped, and P plus a term with its x-vector reversed."""
+    items = list(P.terms.items())
+    if len(items) > 1:
+        yield Polynomial(P.n, dict(items[1:]))
+    if items:
+        (m, c), terms = items[0], dict(P.terms)
+        reversed_x = Monomial(m.xexp[::-1], m.yexp)
+        terms[reversed_x] = terms.get(reversed_x, 0) + c
+        yield Polynomial(P.n, terms)
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(4)))
+def test_annihilates_matches_the_full_expansion(K, L):
+    n = K + L + 1
+    delta = build_delta(hook_partition(K, L))
+    operators = list(generators(K, L).polynomials)
+    for which in (1, 2, 3, 4):
+        operators += proposition_instances(n, K, L, which)
+    verdicts = set()
+    for P in operators:
+        for Q in (P, *perturbed_copies(P)):
+            expected = apply_diff_poly(Q, delta.value).is_zero()
+            assert annihilates(Q, delta) == expected, format_poly(Q)
+            verdicts.add(expected)
+    assert verdicts == ({True} if n == 1 else {True, False})
+
+
+@pytest.mark.parametrize("mu", [Partition(p) for p in ((1,), (2, 1), (2, 2), (3, 1), (2, 1, 1))])
+def test_annihilates_rejects_the_unit_and_a_term_of_delta(mu):
+    delta = build_delta(mu)
+    assert not annihilates(Polynomial.constant(mu.n, 1), delta)
+    m0 = next(iter(delta.value.terms))  # d^{m0} Delta = m0!, a nonzero constant
+    assert not annihilates(Polynomial.monomial(m0), delta)
+
+
+@pytest.mark.parametrize("text,n,blocks", [
+    ("x1^2 + x1*x2 + x2^2", 3, [(0, 1)]),
+    ("x1^2 + x1*x3 + x3^2", 3, [(0, 2)]),
+    ("x1^2 + x1*x2 + x2^2 + x1*x3 + x2*x3 + x3^2", 3, [(0, 1, 2)]),
+    ("x1^2 + x2^2 + y3 + y4", 4, [(0, 1), (2, 3)]),
+    ("x1*y2", 4, [(2, 3)]),
+    ("x1 + 2*x2", 2, []),
+])
+def test_stabilizer_blocks(text, n, blocks):
+    # h_2(x1, x2) at n = 3 is fixed by (1 2) only, not by all of S_3.
+    assert annihilator._stabilizer_blocks(parse_poly(text, n).terms, n) == blocks
+
+
+def test_annihilates_expands_one_term_per_orbit(monkeypatch):
+    # Under all of S_6 the orbits of the terms of h_i(X) are the partitions of
+    # i into at most 6 parts; the hook (0, 5) has x-degree 15, so none of its
+    # h_X(i) is dropped by degree.
+    seen = []
+
+    def counting(operator, p):
+        seen.append(len(operator.terms))
+        return apply_diff_poly(operator, p)
+
+    monkeypatch.setattr(annihilator, "apply_diff_poly", counting)
+    delta = build_delta(hook_partition(0, 5))
+    for tag, P in generators(0, 5).entries:
+        if tag.startswith("h_X("):
+            i = int(tag[4:-1])
+            seen.clear()
+            assert annihilates(P, delta)
+            assert seen == [sum(1 for p in partitions_of(i) if len(p.parts) <= 6)], tag
+
+
+def test_annihilates_drops_the_terms_over_the_degree_of_delta(monkeypatch):
+    delta = build_delta(hook_partition(1, 1))  # bidegree (1, 1)
+    h1 = parse_poly("x1 + x2 + x3", 3)
+    assert annihilates(h1 + parse_poly("x1^2", 3), delta)
+    assert annihilates(h1 + parse_poly("y2^2*x3", 3), delta)
+    assert not annihilates(h1 + parse_poly("x1", 3), delta)
+
+    def no_expansion(operator, p):
+        raise AssertionError("an operator over the degree of Delta was expanded")
+
+    monkeypatch.setattr(annihilator, "apply_diff_poly", no_expansion)
+    assert annihilates(parse_poly("x1^2 - 3*y1^2*x2 + y3^5", 3), delta)
 
 
 def test_normal_form_rejects_a_delta_of_another_partition():

@@ -1,9 +1,10 @@
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghbasis.delta import build_delta
+from ghbasis.delta import build_delta, perm_sign
 from ghbasis.errors import SizeLimitError
 from ghbasis.partitions import Partition, conjugate, n_stat, partitions_of
 from ghbasis.poly import Monomial, Polynomial, apply_diff, parse_poly
@@ -51,6 +52,14 @@ def test_bidegree_metadata():
 def test_size_limit():
     with pytest.raises(SizeLimitError):
         build_delta(Partition((5, 5)), limit=9)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_perm_sign_is_the_parity_of_the_inversions(n):
+    for sigma in permutations(range(n)):
+        inversions = sum(a > b for a, b in combinations(sigma, 2))
+        assert perm_sign(sigma) == (-1) ** inversions
+        assert perm_sign(list(sigma)) == perm_sign(sigma)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -5,7 +5,7 @@ import pytest
 from ghbasis.delta import build_delta
 from ghbasis.errors import NoPreimageError
 from ghbasis.partitions import Partition, conjugate_factorial, partitions_of
-from ghbasis.poly import apply_diff, format_monomial, parse_poly
+from ghbasis.poly import Monomial, apply_diff, format_monomial, parse_poly
 from ghbasis.zerox import (
     GeneralDrawing,
     check_minimal_monomials,
@@ -107,6 +107,11 @@ def test_reconstruct_example_and_failure():
         reconstruct_general(next(iter(parse_poly("x2*x3", 3).terms)), True, mu)
     with pytest.raises(NoPreimageError):
         reconstruct_general(next(iter(parse_poly("y1^5", 3).terms)), False, mu)
+
+
+def test_reconstruct_of_another_ambient_has_no_preimage():
+    with pytest.raises(NoPreimageError):
+        reconstruct_general(Monomial((0, 0), (1, 0)), True, Partition((2, 1)))
 
 
 def test_minimal_monomial_examples():
