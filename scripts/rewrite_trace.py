@@ -12,7 +12,7 @@ size limit is exceeded, each with one line on stderr.
 import argparse
 import sys
 
-from ghbasis.annihilator import classify_diagram, normal_form, reduce_step
+from ghbasis.annihilator import CASE_NULL, classify_diagram, normal_form, reduce_step
 from ghbasis.cli import EXIT_SIZE_LIMIT, EXIT_USAGE, UsageError
 from ghbasis.delta import build_delta
 from ghbasis.errors import PartitionError, PolynomialSyntaxError, SizeLimitError
@@ -44,15 +44,22 @@ def trace(K, L, operator):
         raise UsageError("operator must be a single monic monomial")
     op = next(iter(poly.terms))
 
-    # worklist trace: rewrite the descent-largest non-drawing monomial first
+    # worklist trace: a null operator (x_i y_i divides it) acts as zero and
+    # is dropped with its classification; of the rest, rewrite the
+    # descent-largest non-drawing monomial first
     work = {op: 1}
     step = 0
     while True:
-        todo = [m for m in work if classify_diagram(m, K, L).is_anomaly]
+        classes = {m: classify_diagram(m, K, L) for m in work}
+        for m, cls in classes.items():
+            if cls.case == CASE_NULL:
+                print(f"{format_monomial(m) or '1'}  [{cls.case} at place {cls.place}]")
+                del work[m]
+        todo = [m for m, cls in classes.items() if cls.is_anomaly]
         if not todo:
             break
         m = max(todo, key=lambda mm: tuple(-v for v in descent_key(mm)))
-        cls = classify_diagram(m, K, L)
+        cls = classes[m]
         outs = reduce_step(m, K, L)
         step += 1
         print(f"step {step}: {format_monomial(m) or '1'}  [{cls.case} at place {cls.place}]")
@@ -63,14 +70,12 @@ def trace(K, L, operator):
             work[mm] = work.get(mm, 0) + coeff * c
             if work[mm] == 0:
                 del work[mm]
-        # null operators vanish outright
-        for mm in [m for m in work
-                   if classify_diagram(mm, K, L).case == "null-operator"]:
-            del work[mm]
 
     delta = build_delta(mu)
     nf = normal_form(op, K, L, delta=delta, validate=True)
-    print(f"\nnormal form of {format_monomial(op) or '1'} "
+    if step:
+        print()
+    print(f"normal form of {format_monomial(op) or '1'} "
           f"({len(nf)} drawing terms, oracle-checked):")
     for text, c in sorted((format_monomial(split(d)[0]) or "1", c) for d, c in nf.items()):
         print(f"    {c:+d} * d[{text}]")

@@ -241,9 +241,6 @@ def reconstruct(part: Monomial, from_s: bool, K: int, L: int) -> HookDrawing:
     shape = _shape_from_y_places({p + 1 for p, k in enumerate(kinds) if k == "y"}, K, L)
     crosses = tuple(xo if k == "x" else yo
                     for xo, yo, k in zip(part.xexp, part.yexp, shape.kinds))
-    for place in range(places):
-        if crosses[place] > shape.sizes[place]:
-            raise NoPreimageError(f"cross count exceeds the column size at place {place + 1}")
     d = HookDrawing(shape=shape, crosses=crosses)
     if not is_valid_drawing(d):
         raise NoPreimageError("completed diagram violates the drawing rules")

@@ -8,6 +8,11 @@ over the bars is the biexponent set of mu with (0, 0) removed.  Rules:
 3. a bar B standing left of any bar B' with n_x(B') > n_x(B) and q y-cells
    must keep at least q+1 white y-cells.
 
+Each rule is stated once: _bar_orders yields exactly the bar orders that
+obey rule 1, _cross_ranges gives the y-cross counts that rule 3 leaves each
+bar of an order, and rule 2 needs no code.  enumerate_general and
+reconstruct_general both read the rules from there.
+
 The cross diagram S of a drawing (all x-cells plus the chosen y-crosses)
 and the white diagram T (the remaining y-cells) give monomial operators;
 applied to Delta_mu they produce bases of the x-degree-0 and x-degree-n(mu)
@@ -93,21 +98,27 @@ def _min_whites(order: tuple[tuple[int, int], ...], i: int) -> int:
     return floor
 
 
+def _cross_ranges(order: tuple[tuple[int, int], ...]) -> list[range] | None:
+    """Rule 3: the y-cross counts each bar of order may take, or None when
+    some bar has fewer y-cells than its white floor (the first such bar
+    ends the scan)."""
+    ranges = []
+    for i, (_, ny) in enumerate(order):
+        top = ny - _min_whites(order, i)
+        if top < 0:
+            return None
+        ranges.append(range(top + 1))
+    return ranges
+
+
 def enumerate_general(mu: Partition, limit: int = DEFAULT_LIMIT) -> list[GeneralDrawing]:
     """All valid drawings for mu, each exactly once, in a deterministic order."""
     if mu.n > limit:
         raise SizeLimitError(f"n = {mu.n} exceeds the drawing size limit {limit}")
     out = []
     for order in sorted(_bar_orders(mu)):
-        ranges = []
-        feasible = True
-        for i, (nx, ny) in enumerate(order):
-            top = ny - _min_whites(order, i)
-            if top < 0:
-                feasible = False
-                break
-            ranges.append(range(top + 1))
-        if not feasible:
+        ranges = _cross_ranges(order)
+        if ranges is None:
             continue
         for crosses in product(*ranges):
             bars = tuple((nx, ny, c) for (nx, ny), c in zip(order, crosses))
@@ -166,87 +177,41 @@ def flip_general(d: GeneralDrawing) -> GeneralDrawing:
 
 
 def reconstruct_general(part: Monomial, from_s: bool, mu: Partition) -> GeneralDrawing:
-    """Unique drawing with the given S (or T) diagram, built left to right."""
+    """The unique drawing whose S (or T) half is part; NoPreimageError if none.
+
+    Rule 1 pins the order of the bars inside each n_x group, so a bar order
+    of _bar_orders is fixed by its word of n_x values.  From S the candidate
+    is the order whose word is S's x-exponents at places 1..n-1, and the
+    cross counts are S's y-exponents; from T every order is a candidate, and
+    the bar with n_y y-cells and w whites at its place has n_y - w crosses.
+    A candidate is a drawing when _cross_ranges (rule 3) admits each of its
+    cross counts.  Distinct drawings have distinct white halves, so at most
+    one candidate survives; two would raise NoPreimageError as ambiguous.
+    """
     n = mu.n
     if part.n != n:
         raise NoPreimageError(f"monomial ambient {part.n} != n = {n}")
     if part.xexp[n - 1] or part.yexp[n - 1]:
         raise NoPreimageError("diagram touches variable n; drawings have n-1 places")
-    if from_s:
-        return _reconstruct_from_s(part, mu)
-    return _reconstruct_from_t(part, mu)
-
-
-def _reconstruct_from_s(part: Monomial, mu: Partition) -> GeneralDrawing:
-    n = mu.n
-    groups = _bar_groups(mu)
-    taken = {nx: 0 for nx in groups}
-    bars = []
-    for place in range(n - 1):
-        nx = part.xexp[place]
-        c = part.yexp[place]
-        if nx not in groups or taken[nx] >= len(groups[nx]):
-            raise NoPreimageError(f"no bar with {nx} x-cells left for place {place + 1}")
-        bar = groups[nx][taken[nx]]  # rule 1 pins the order within the group
-        taken[nx] += 1
-        if c > bar[1]:
-            raise NoPreimageError(f"{c} y-crosses exceed the {bar[1]} y-cells at place {place + 1}")
-        bars.append((bar[0], bar[1], c))
-    candidate = GeneralDrawing(mu=mu, bars=tuple(bars))
-    if not _rules_ok(candidate):
-        raise NoPreimageError("reconstructed bar sequence violates the white-cell rule")
-    return candidate
-
-
-def _reconstruct_from_t(part: Monomial, mu: Partition) -> GeneralDrawing:
-    if any(part.xexp):
+    if not from_s and any(part.xexp):
         raise NoPreimageError("a white diagram has no x-entries")
-    n = mu.n
-    whites = part.yexp
-    groups = _bar_groups(mu)
-    solutions: list[tuple[tuple[int, int, int], ...]] = []
-
-    def extend(place, taken, bars):
-        if len(solutions) > 1:
-            return
-        if place == n - 1:
-            candidate = GeneralDrawing(mu=mu, bars=tuple(bars))
-            if _rules_ok(candidate):
-                solutions.append(tuple(bars))
-            return
-        w = whites[place]
-        for nx in sorted(groups):
-            if taken[nx] >= len(groups[nx]):
+    found = []
+    for order in _bar_orders(mu):
+        if from_s:
+            if tuple(nx for nx, _ in order) != part.xexp[:n - 1]:
                 continue
-            bar = groups[nx][taken[nx]]  # rule 1: next bar of this group is forced
-            if bar[1] < w:
-                continue
-            taken[nx] += 1
-            bars.append((bar[0], bar[1], bar[1] - w))
-            extend(place + 1, taken, bars)
-            bars.pop()
-            taken[nx] -= 1
-
-    extend(0, {nx: 0 for nx in groups}, [])
-    if not solutions:
-        raise NoPreimageError("no drawing has this white diagram")
-    if len(solutions) > 1:
-        raise NoPreimageError("white diagram is ambiguous; reconstruction is not unique")
-    return GeneralDrawing(mu=mu, bars=solutions[0])
-
-
-def _rules_ok(d: GeneralDrawing) -> bool:
-    bars = d.bars
-    for i, (nx, ny, c) in enumerate(bars):
-        if not 0 <= c <= ny:
-            return False
-        if ny - c < _min_whites(tuple((a, b) for a, b, _ in bars), i):
-            return False
-    for i in range(len(bars)):
-        for j in range(i + 1, len(bars)):
-            if bars[i][0] == bars[j][0] and bars[i][1] <= bars[j][1]:
-                return False
-    return True
+            crosses = part.yexp
+        else:
+            crosses = tuple(ny - w for (_, ny), w in zip(order, part.yexp))
+        ranges = _cross_ranges(order)
+        if ranges is not None and all(c in r for c, r in zip(crosses, ranges)):
+            bars = tuple((nx, ny, c) for (nx, ny), c in zip(order, crosses))
+            found.append(GeneralDrawing(mu=mu, bars=bars))
+    if not found:
+        raise NoPreimageError(f"no drawing of {mu} has this {'cross' if from_s else 'white'} half")
+    if len(found) > 1:
+        raise NoPreimageError("white half is ambiguous; reconstruction is not unique")
+    return found[0]
 
 
 def check_minimal_monomials(d: GeneralDrawing, delta: DeltaPolynomial) -> bool:
@@ -275,7 +240,6 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
     if delta.mu != mu:
         raise ValueError(f"Delta of {delta.mu} given for {mu}")
     drawings = enumerate_general(mu, limit=limit)
-    expected = factorial(mu.n) // conjugate_factorial(mu)
     n_mu = delta.bidegree[0]
 
     s_images = []
@@ -304,15 +268,11 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
 
     return {
         "count": len(drawings),
-        "expected": expected,
-        "count_ok": len(drawings) == expected,
         "x_degree_zero_ok": xdeg_zero,
         "x_degree_top_ok": xdeg_top,
         "triangularity_ok": triangular,
         "distinct_minimal_monomials": len(white_halves) == len(drawings),
         "rank_s": rank_s,
         "rank_t": rank_t,
-        "rank_ok": rank_s == expected and rank_t == expected,
         "dim_zero_slice": dim_zero_slice,
-        "dim_zero_slice_ok": dim_zero_slice == expected,
     }

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 from math import factorial
 
 import pytest
@@ -157,6 +158,23 @@ def test_reconstruct_round_trips(K, L):
         s, t = split(d)
         assert reconstruct(s, True, K, L) == d
         assert reconstruct(t, False, K, L) == d
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_reconstruct_agrees_with_the_split_lookup_on_a_box(n):
+    # Most monomials of the box are not halves; each must get no drawing.
+    monomials = [Monomial(x, y) for x in product(range(3), repeat=n)
+                 for y in product(range(4), repeat=n)]
+    for K in range(n):
+        drawings = enumerate_drawings(K, n - 1 - K)
+        for half, from_s in ((0, True), (1, False)):
+            lookup = {split(d)[half]: d for d in drawings}
+            for part in monomials:
+                try:
+                    got = reconstruct(part, from_s, K, n - 1 - K)
+                except NoPreimageError:
+                    got = None
+                assert got == lookup.get(part)
 
 
 def test_reconstruct_example_and_failure():

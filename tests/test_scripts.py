@@ -26,6 +26,13 @@ def test_rewrite_trace_reaches_an_oracle_checked_normal_form(capsys):
     assert "step 1:" in out and "oracle-checked" in out
 
 
+def test_rewrite_trace_explains_a_null_operator(capsys):
+    status, out = run_script("rewrite_trace", ["--k", "1", "--l", "1", "x1*y1"], capsys)
+    assert status == 0
+    assert out.splitlines() == ["x1*y1  [null-operator at place 1]",
+                                "normal form of x1*y1 (0 drawing terms, oracle-checked):"]
+
+
 @pytest.mark.parametrize("name,argv,status", [
     ("graded_tables", ["2,1", "2,x"], 2),
     ("graded_tables", ["5,5"], 3),

@@ -1,3 +1,4 @@
+from itertools import product
 from math import factorial
 
 import pytest
@@ -98,6 +99,32 @@ def test_reconstruct_round_trips(n):
             assert reconstruct_general(t, False, mu) == d
 
 
+def box(n, top_x, top_y):
+    """Every monomial in n variables with x-exponents <= top_x and y-exponents <= top_y."""
+    return [Monomial(x, y) for x in product(range(top_x + 1), repeat=n)
+            for y in product(range(top_y + 1), repeat=n)]
+
+
+def preimage(reconstruct, *args):
+    """reconstruct(*args), or None when it raises NoPreimageError."""
+    try:
+        return reconstruct(*args)
+    except NoPreimageError:
+        return None
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_reconstruct_agrees_with_the_split_lookup_on_a_box(n):
+    # Most monomials of the box are not halves; each must get no drawing.
+    monomials = box(n, 2, 3)
+    for mu in partitions_of(n):
+        drawings = enumerate_general(mu)
+        for half, from_s in ((0, True), (1, False)):
+            lookup = {split_general(d)[half]: d for d in drawings}
+            for part in monomials:
+                assert preimage(reconstruct_general, part, from_s, mu) == lookup.get(part)
+
+
 def test_reconstruct_example_and_failure():
     mu = Partition((2, 1))
     s = next(iter(parse_poly("x2", 3).terms))
@@ -151,19 +178,21 @@ def test_verify_zero_x_degree_basis(parts):
     mu = Partition(parts)
     delta = build_delta(mu)
     report = verify_zero_x_degree_basis(mu, delta)
-    assert report["count_ok"]
+    expected = factorial(mu.n) // conjugate_factorial(mu)
+    assert report["count"] == expected
     assert report["x_degree_zero_ok"]
     assert report["x_degree_top_ok"]
     assert report["triangularity_ok"]
     assert report["distinct_minimal_monomials"]
-    assert report["rank_ok"]
-    assert report["dim_zero_slice_ok"]
+    assert report["rank_s"] == report["rank_t"] == expected
+    assert report["dim_zero_slice"] == expected
 
 
 def test_verify_21_rank_three():
     mu = Partition((2, 1))
     report = verify_zero_x_degree_basis(mu, build_delta(mu))
-    assert report["rank_s"] == report["rank_t"] == report["expected"] == 3
+    expected = factorial(mu.n) // conjugate_factorial(mu)
+    assert report["rank_s"] == report["rank_t"] == expected == 3
 
 
 def test_verify_rejects_a_delta_of_another_partition():
