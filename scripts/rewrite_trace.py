@@ -58,7 +58,7 @@ def trace(K, L, operator):
         todo = [m for m, cls in classes.items() if cls.is_anomaly]
         if not todo:
             break
-        m = max(todo, key=lambda mm: tuple(-v for v in descent_key(mm)))
+        m = max(todo, key=descent_key)
         cls = classes[m]
         outs = reduce_step(m, K, L)
         step += 1

@@ -15,6 +15,11 @@ a drawing D encodes the operator dD = prod dx_i^(x-crosses) dy_i^(y-crosses).
 Its cross half S and white half T are monomials, as for bar drawings.
 There are exactly n! drawings, they are closed under the cross/white flip,
 and either half of the cross/white split determines the drawing.
+
+Each rule is stated once: `is_valid_drawing` is the rule, with the y-column
+rule in `_y_choices`, and `_shapes` is the one source of shapes.
+`enumerate_drawings` applies the rules constructively, shape by shape, and
+`reconstruct` searches the shapes for the one drawing the rules accept.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .delta import DeltaPolynomial
 from .errors import InvariantError, NoPreimageError, SizeLimitError
@@ -112,6 +117,13 @@ def is_valid_drawing(d: HookDrawing) -> bool:
     return True
 
 
+def _shapes(K: int, L: int):
+    """Every shape of the hook, by its y-places in combinations order: the
+    one shape source of enumeration and reconstruction."""
+    for y_places in combinations(range(1, K + L + 1), K):
+        yield _shape_from_y_places(set(y_places), K, L)
+
+
 def enumerate_drawings(K: int, L: int, limit: int = DEFAULT_LIMIT) -> list[HookDrawing]:
     """Every valid drawing exactly once; (K+L+1)! of them in total.
 
@@ -122,21 +134,13 @@ def enumerate_drawings(K: int, L: int, limit: int = DEFAULT_LIMIT) -> list[HookD
     if n > limit:
         raise SizeLimitError(f"n = {n} exceeds the drawing size limit {limit}")
     out = []
-    places = K + L
-    for y_combo in combinations(range(1, places + 1), K):
-        shape = _shape_from_y_places(set(y_combo), K, L)
-        x_places = [p for p in range(places) if shape.kinds[p] == "x"]
-        y_places = [p for p in range(places) if shape.kinds[p] == "y"]
-        for x_fill in product(*(range(shape.sizes[p] + 1) for p in x_places)):
-            crosses = [0] * places
-            for p, c in zip(x_places, x_fill):
-                crosses[p] = c
+    for shape in _shapes(K, L):
+        for fill in product(*(range(size + 1) if kind == "x" else (0,)
+                              for kind, size in zip(shape.kinds, shape.sizes))):
             # y-choices depend only on the x-crosses
-            for y_fill in product(*(_y_choices(shape, crosses, p) for p in y_places)):
-                full = list(crosses)
-                for p, c in zip(y_places, y_fill):
-                    full[p] = c
-                out.append(HookDrawing(shape=shape, crosses=tuple(full)))
+            for crosses in product(*(_y_choices(shape, fill, p) if kind == "y" else (c,)
+                                     for p, (kind, c) in enumerate(zip(shape.kinds, fill)))):
+                out.append(HookDrawing(shape=shape, crosses=crosses))
     out.sort(key=lambda d: (d.shape.kinds, d.crosses))
     return out
 
@@ -147,18 +151,9 @@ def closed_form_count(K: int, L: int) -> int:
     Summand over k1 + k2 = K, with k1 the number of y-columns right of the
     last x-column: [2*3*...*(k1+1)] * [(k1+1)*...*(k1+k2)] * (L+1)! * C(k2+L-1, k2).
     """
-    total = 0
-    for k1 in range(K + 1):
-        k2 = K - k1
-        first = 1
-        for t in range(2, k1 + 2):
-            first *= t
-        second = 1
-        for t in range(k1 + 1, k1 + k2 + 1):
-            second *= t
-        binom = 1 if k2 == 0 else (comb(k2 + L - 1, k2) if k2 + L - 1 >= 0 else 0)
-        total += first * second * factorial(L + 1) * binom
-    return total
+    return sum(factorial(k1 + 1) * perm(K, K - k1) * factorial(L + 1)
+               * (comb(K - k1 + L - 1, K - k1) if K > k1 else 1)
+               for k1 in range(K + 1))
 
 
 def flip(d: HookDrawing) -> HookDrawing:
@@ -192,13 +187,12 @@ def diff_op_of(half: Monomial, n: int) -> Monomial:
 def reconstruct(part: Monomial, from_s: bool, K: int, L: int) -> HookDrawing:
     """The unique drawing whose S (resp. T) half equals part.
 
-    Left-to-right completion: a place holding crosses becomes the next
-    column of that kind; an empty place becomes an x-column exactly when the
-    x-crosses to its right still fit with one x-column consumed here, else a
-    y-column.  The completed drawing carries part's orders at places 1..n-1,
-    so it has part as its S half once variable n is known to be 0; it is
-    validated against the rules.  Reconstruction from T is the flip of the
-    drawing whose S half is part.
+    Every shape is a candidate unless part has an order of the other
+    alphabet at one of its places; a candidate's crosses are part's orders
+    of its own alphabet, and it survives when is_valid_drawing accepts it.
+    One survivor is the answer; none or several raise NoPreimageError.
+    Variable n carries no place, so part must have x_n = y_n = 0.
+    Reconstruction from T is the flip of the drawing whose S half is part.
     """
     n = K + L + 1
     if part.n != n:
@@ -207,44 +201,17 @@ def reconstruct(part: Monomial, from_s: bool, K: int, L: int) -> HookDrawing:
         raise NoPreimageError("diagram touches variable n; drawings have n-1 places")
     if not from_s:
         return flip(reconstruct(part, True, K, L))
-
-    places = K + L
-    kinds: list[str] = []
-    ny = nx = 0
-    for place in range(places):
-        xo, yo = part.xexp[place], part.yexp[place]
-        if xo and yo:
-            raise NoPreimageError("a drawing place holds crosses of one kind only")
-        if yo:
-            kind = "y"
-        elif xo:
-            kind = "x"
-        else:
-            # Empty place: x-column iff the x-crossed places to the right can
-            # still fit into the remaining depths with one consumed here.
-            rem = L - nx
-            right = [c for c in part.xexp[place + 1:places] if c]
-            fits = rem >= 1 and len(right) <= rem - 1 and all(
-                c <= rem - 1 - j for j, c in enumerate(right)
-            )
-            kind = "x" if fits else "y"
-        if kind == "y":
-            if ny >= K:
-                raise NoPreimageError("more y-columns than the shape allows")
-            ny += 1
-        else:
-            if nx >= L:
-                raise NoPreimageError("more x-columns than the shape allows")
-            nx += 1
-        kinds.append(kind)
-
-    shape = _shape_from_y_places({p + 1 for p, k in enumerate(kinds) if k == "y"}, K, L)
-    crosses = tuple(xo if k == "x" else yo
-                    for xo, yo, k in zip(part.xexp, part.yexp, shape.kinds))
-    d = HookDrawing(shape=shape, crosses=crosses)
-    if not is_valid_drawing(d):
-        raise NoPreimageError("completed diagram violates the drawing rules")
-    return d
+    found = []
+    for shape in _shapes(K, L):
+        places = list(zip(shape.kinds, part.xexp, part.yexp))
+        if any(yo if k == "x" else xo for k, xo, yo in places):
+            continue
+        d = HookDrawing(shape=shape, crosses=tuple(xo if k == "x" else yo for k, xo, yo in places))
+        if is_valid_drawing(d):
+            found.append(d)
+    if len(found) != 1:
+        raise NoPreimageError(f"{len(found)} drawings have this half; reconstruction needs one")
+    return found[0]
 
 
 def _require_hook_delta(drawings, delta: DeltaPolynomial) -> None:

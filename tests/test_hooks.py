@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -10,6 +10,7 @@ from ghbasis.checks import HookContext, flip_dual
 from ghbasis.delta import build_delta
 from ghbasis.errors import NoPreimageError
 from ghbasis.hooks import (
+    HookDrawing,
     closed_form_count,
     cross_images,
     descendant_graph,
@@ -22,6 +23,7 @@ from ghbasis.hooks import (
     reconstruct,
     son_edges,
     split,
+    _shape_from_y_places,
 )
 from ghbasis.partitions import Partition, hook_partition
 from ghbasis.poly import Monomial, apply_diff, format_monomial, parse_poly
@@ -49,6 +51,46 @@ def test_degenerate_hooks():
     assert len(enumerate_drawings(0, 0)) == 1
     assert len(enumerate_drawings(2, 0)) == 6
     assert len(enumerate_drawings(0, 2)) == 6
+
+
+def oracle_y_choices(shape, crosses, place):
+    """The y-column rule restated: with no x-column to the right any count;
+    else the first plain x-column to the right forces a cross if all white
+    and a white cell if all crossed."""
+    height = shape.sizes[place]
+    right = [q for q in range(place + 1, shape.places) if shape.kinds[q] == "x"]
+    if not right:
+        return range(0, height + 1)
+    plain = next(q for q in right if crosses[q] in (0, shape.sizes[q]))
+    return range(1, height + 1) if crosses[plain] == 0 else range(0, height)
+
+
+def constructive_drawings(K, L):
+    """Per-shape x-fills, then every y-fill the rule admits, sorted as
+    enumerate_drawings documents: an oracle for the family and its order."""
+    out = []
+    places = K + L
+    for y_combo in combinations(range(1, places + 1), K):
+        shape = _shape_from_y_places(set(y_combo), K, L)
+        x_places = [p for p in range(places) if shape.kinds[p] == "x"]
+        y_places = [p for p in range(places) if shape.kinds[p] == "y"]
+        for x_fill in product(*(range(shape.sizes[p] + 1) for p in x_places)):
+            crosses = [0] * places
+            for p, c in zip(x_places, x_fill):
+                crosses[p] = c
+            # y-choices depend only on the x-crosses
+            for y_fill in product(*(oracle_y_choices(shape, crosses, p) for p in y_places)):
+                full = list(crosses)
+                for p, c in zip(y_places, y_fill):
+                    full[p] = c
+                out.append(HookDrawing(shape=shape, crosses=tuple(full)))
+    out.sort(key=lambda d: (d.shape.kinds, d.crosses))
+    return out
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(7)))
+def test_enumeration_equals_the_constructive_oracle(K, L):
+    assert enumerate_drawings(K, L) == constructive_drawings(K, L)
 
 
 @pytest.mark.parametrize("K,L", list(hooks_up_to(7)))

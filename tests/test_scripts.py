@@ -33,6 +33,15 @@ def test_rewrite_trace_explains_a_null_operator(capsys):
                                 "normal form of x1*y1 (0 drawing terms, oracle-checked):"]
 
 
+def test_rewrite_trace_rewrites_the_descent_largest_monomial_first(capsys):
+    # Rewriting x2^2*y3 first lets its -y1*x2^2 cancel the one from step 1;
+    # the smallest-first order rewrites y1*x2^2 twice in four steps.
+    status, out = run_script("rewrite_trace", ["--k", "1", "--l", "2", "x2^2*y4"], capsys)
+    assert status == 0
+    rewritten = [line.split()[2] for line in out.splitlines() if line.startswith("step ")]
+    assert rewritten == ["x2^2*y4", "x2^2*y3"]
+
+
 @pytest.mark.parametrize("name,argv,status", [
     ("graded_tables", ["2,1", "2,x"], 2),
     ("graded_tables", ["5,5"], 3),

@@ -49,3 +49,27 @@ def test_library_has_no_floats():
 def test_float_sites_finds_each_kind():
     source = "a = b // c\na = b / c\na /= 2\nd = 0.5\ne = float(a)\nf = 10 ** 3\n"
     assert float_sites(source) == [2, 3, 4, 5]
+
+
+def unreferenced_private_helpers(sources):
+    """Private (single-underscore, not dunder) functions and classes that are
+    defined in sources but never read as a Name or Attribute in any of them."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(defined - used)
+
+
+def test_every_private_helper_is_referenced():
+    # Code the library never calls goes.
+    assert unreferenced_private_helpers(
+        path.read_text() for path in sorted(SOURCE.glob("*.py"))) == []
+
+
+def test_unreferenced_private_helpers_finds_an_unused_helper():
+    source = "def _a():\n    return 1\n\ndef _b():\n    return _a()\n\ndef __c__():\n    pass\n"
+    assert unreferenced_private_helpers([source]) == ["_b"]
