@@ -489,74 +489,28 @@ def reduce_step(op: Monomial, K: int, L: int) -> list[tuple[int, Monomial]]:
     return out
 
 
-class _HookRewriter:
-    """Memoized normal forms over the drawing-operator family of one hook."""
-
-    def __init__(self, K: int, L: int):
-        self.K = K
-        self.L = L
-        self.n = K + L + 1
-        self.s_index = _s_index(K, L)
-        self.memo: dict[Monomial, dict[Monomial, int]] = {}
-        self.steps = 0
-
-    def budget(self, op: Monomial) -> int:
-        bx = self.L * (self.L + 1) // 2
-        by = self.K * (self.K + 1) // 2
-        universe = comb(max(bx, op.xdeg()) + self.n, self.n) * comb(
-            max(by, op.ydeg()) + self.n, self.n)
-        return 10 * universe
-
-    def normal_form(self, op: Monomial) -> dict[Monomial, int]:
-        budget = self.budget(op)
-        start_steps = self.steps
-        rewrites: dict[Monomial, list[tuple[int, Monomial]]] = {}
-        stack = [op]
-        while stack:
-            m = stack[-1]
-            if m in self.memo:
-                stack.pop()
-                continue
-            if any(a and b for a, b in zip(m.xexp, m.yexp)):
-                self.memo[m] = {}
-                stack.pop()
-                continue
-            if m in self.s_index:
-                self.memo[m] = {m: 1}
-                stack.pop()
-                continue
-            if m not in rewrites:
-                rewrites[m] = reduce_step(m, self.K, self.L)
-                self.steps += 1
-                if self.steps - start_steps > budget:
-                    raise RewriteDefectError(
-                        f"rewriting budget {budget} exhausted; non-termination defect")
-            pending = [mm for _, mm in rewrites[m] if mm not in self.memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            combined: dict[Monomial, int] = {}
-            for coeff, mm in rewrites[m]:
-                for sm, c in self.memo[mm].items():
-                    s = combined.get(sm, 0) + coeff * c
-                    if s:
-                        combined[sm] = s
-                    else:
-                        combined.pop(sm, None)
-            self.memo[m] = combined
-            stack.pop()
-        return self.memo[op]
-
-
 @lru_cache(maxsize=None)
-def _rewriter(K: int, L: int) -> _HookRewriter:
-    return _HookRewriter(K, L)
+def _rewriter(K: int, L: int) -> dict[Monomial, dict[Monomial, int]]:
+    """The hook's memo of normal forms over drawing S halves; it lasts as
+    long as the process."""
+    return {}
 
 
 def normal_form(op: Monomial, K: int, L: int,
                 delta: DeltaPolynomial | None = None,
                 validate: bool = False) -> dict[HookDrawing, int]:
     """Express op(d) Delta = sum c_D dD Delta over drawings, exactly.
+
+    The rewriting walks a depth-first stack from op.  classify_diagram
+    decides each monomial not yet in the hook's memo once: a null operator
+    has normal form 0, the S half of a drawing is its own normal form, and
+    any other monomial is rewritten by reduce_step.  A rewritten monomial's
+    normal form is the combination of the normal forms of its replacement
+    terms, taken once all of them are in the memo.  Each monomial is
+    rewritten at most once per call, and reduce_step raises
+    RewriteDefectError unless every replacement descends strictly in the
+    block order of descent_key; the monomials of op's bidegree are finitely
+    many, so the walk ends.
 
     With validate=True the identity is checked by applying the difference of
     its two sides to Delta (built when not given); a nonzero result raises
@@ -568,14 +522,41 @@ def normal_form(op: Monomial, K: int, L: int,
         raise ValueError(f"operator ambient {op.n} != n = {mu.n}")
     if delta is not None and delta.mu != mu:
         raise ValueError(f"Delta of {delta.mu} given for the hook {mu}")
-    rewriter = _rewriter(K, L)
-    nf = rewriter.normal_form(op)
+    memo = _rewriter(K, L)
+    rewrites: dict[Monomial, list[tuple[int, Monomial]]] = {}
+    stack = [op]
+    while stack:
+        m = stack[-1]
+        if m in memo:
+            stack.pop()
+            continue
+        if m not in rewrites:
+            case = classify_diagram(m, K, L).case
+            if case in (CASE_NULL, CASE_VALID):
+                memo[stack.pop()] = {m: 1} if case == CASE_VALID else {}
+                continue
+            rewrites[m] = reduce_step(m, K, L)
+        pending = [mm for _, mm in rewrites[m] if mm not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        combined: dict[Monomial, int] = {}
+        for coeff, mm in rewrites[m]:
+            for sm, c in memo[mm].items():
+                s = combined.get(sm, 0) + coeff * c
+                if s:
+                    combined[sm] = s
+                else:
+                    combined.pop(sm, None)
+        memo[m] = combined
+        stack.pop()
+    nf = memo[op]
     if validate:
         if delta is None:
             delta = build_delta(mu)
         if not annihilates(Polynomial(op.n, nf) - Polynomial.monomial(op), delta):
             raise RewriteDefectError(f"normal form of {op} fails the oracle")
-    index = rewriter.s_index
+    index = _s_index(K, L)
     return {index[sm]: c for sm, c in nf.items()}
 
 

@@ -25,6 +25,7 @@ rule in `_y_choices`, and `_shapes` is the one source of shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, product
 from math import comb, factorial, perm
@@ -117,11 +118,12 @@ def is_valid_drawing(d: HookDrawing) -> bool:
     return True
 
 
-def _shapes(K: int, L: int):
+@lru_cache(maxsize=None)
+def _shapes(K: int, L: int) -> tuple[HookShape, ...]:
     """Every shape of the hook, by its y-places in combinations order: the
     one shape source of enumeration and reconstruction."""
-    for y_places in combinations(range(1, K + L + 1), K):
-        yield _shape_from_y_places(set(y_places), K, L)
+    return tuple(_shape_from_y_places(set(y_places), K, L)
+                 for y_places in combinations(range(1, K + L + 1), K))
 
 
 def enumerate_drawings(K: int, L: int, limit: int = DEFAULT_LIMIT) -> list[HookDrawing]:

@@ -167,15 +167,6 @@ def split_general(d: GeneralDrawing) -> tuple[Monomial, Monomial]:
     return s, t
 
 
-def flip_general(d: GeneralDrawing) -> GeneralDrawing:
-    """Invert whites and crosses; yields a diagram with no x-crosses.
-
-    The flipped object is not itself a member of the family (its x-cells are
-    white), but its y-cross diagram is the white diagram T of d.
-    """
-    return GeneralDrawing(mu=d.mu, bars=tuple((nx, ny, ny - c) for nx, ny, c in d.bars))
-
-
 def reconstruct_general(part: Monomial, from_s: bool, mu: Partition) -> GeneralDrawing:
     """The unique drawing whose S (or T) half is part; NoPreimageError if none.
 

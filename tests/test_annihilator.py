@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product as iproduct
 from math import comb, factorial, prod
@@ -18,7 +19,7 @@ from ghbasis.annihilator import (
 )
 from ghbasis import annihilator, checks, hooks
 from ghbasis.delta import build_delta
-from ghbasis.errors import SizeLimitError
+from ghbasis.errors import RewriteDefectError, SizeLimitError
 from ghbasis.hooks import enumerate_drawings, split
 from ghbasis.linalg import Eliminator, derivative_closure
 from ghbasis.partitions import Partition, hook_partition, partitions_of
@@ -30,6 +31,7 @@ from ghbasis.poly import (
     descent_key,
     format_poly,
     parse_poly,
+    unit_monomial,
 )
 
 
@@ -353,6 +355,8 @@ def test_normal_form_respects_the_drawing_size_cap(monkeypatch):
     def enumerated(*args):
         raise AssertionError("drawings enumerated past the size cap")
 
+    # A cached _shapes(3, 4) would never reach the patched function.
+    hooks._shapes.cache_clear()
     monkeypatch.setattr(hooks, "_shape_from_y_places", enumerated)
     with pytest.raises(SizeLimitError):
         normal_form(mono("x1", 8), 3, 4)
@@ -371,6 +375,84 @@ def test_normal_form_exhaustive_small(K, L):
                 continue
             op = Monomial(tuple(xe), tuple(ye))
             normal_form(op, K, L, delta=delta, validate=True)
+
+
+def normal_form_by_worklist(op, K, L, memo, s_halves):
+    """The memoized rewriting loop with its own null test and set of S
+    halves, and reduce_step for everything else: the oracle for normal_form,
+    which takes both tests from classify_diagram."""
+    rewrites = {}
+    stack = [op]
+    while stack:
+        m = stack[-1]
+        if m in memo:
+            stack.pop()
+            continue
+        if any(a and b for a, b in zip(m.xexp, m.yexp)):
+            memo[m] = {}
+            stack.pop()
+            continue
+        if m in s_halves:
+            memo[m] = {m: 1}
+            stack.pop()
+            continue
+        if m not in rewrites:
+            rewrites[m] = reduce_step(m, K, L)
+        pending = [mm for _, mm in rewrites[m] if mm not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        combined = {}
+        for coeff, mm in rewrites[m]:
+            for sm, c in memo[mm].items():
+                s = combined.get(sm, 0) + coeff * c
+                if s:
+                    combined[sm] = s
+                else:
+                    combined.pop(sm, None)
+        memo[m] = combined
+        stack.pop()
+    return memo[op]
+
+
+def hook_box(K, L):
+    return annihilator.bounded_operators(K + L + 1, L * (L + 1) // 2, K * (K + 1) // 2)
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(4)))
+def test_normal_form_matches_the_worklist_oracle(K, L):
+    memo = {}
+    s_halves = {split(d)[0] for d in enumerate_drawings(K, L)}
+    for op in hook_box(K, L):
+        got = [(split(d)[0], c) for d, c in normal_form(op, K, L).items()]
+        assert got == list(normal_form_by_worklist(op, K, L, memo, s_halves).items()), op
+
+
+def test_normal_form_stops_at_a_non_descending_rewrite(monkeypatch):
+    # Every replacement term becomes the unit, the largest monomial in the
+    # descent order; without the descent check x3 would get the all-white
+    # drawing with coefficient -2.
+    monkeypatch.setattr(annihilator, "_shift", lambda op, dx, dy: unit_monomial(op.n))
+    monkeypatch.setattr(annihilator, "_rewriter", lambda K, L: {})
+    with pytest.raises(RewriteDefectError, match="non-descending"):
+        normal_form(mono("x3", 3), 1, 1)
+
+
+def test_normal_form_rewrites_each_monomial_once(monkeypatch):
+    # The memo lasts across calls, so over a whole box each monomial reaches
+    # reduce_step at most once; benchmark traces count those calls as the
+    # rewrite steps, so the loop must go through the public reduce_step.
+    rewritten = Counter()
+
+    def spy(op, K, L):
+        rewritten[op] += 1
+        return reduce_step(op, K, L)
+
+    annihilator._rewriter.cache_clear()
+    monkeypatch.setattr(annihilator, "reduce_step", spy)
+    for op in hook_box(2, 2):
+        normal_form(op, 2, 2)
+    assert rewritten and max(rewritten.values()) == 1
 
 
 def test_quotient_hilbert_examples():
@@ -417,7 +499,7 @@ def generic_quotient_dim(K, L, a, b):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_bounded_operators_fill_the_box(n):
-    # A4's box holds as many operators as the rewriter's budget counts.
+    # A4's box: every operator of x-degree <= bx and y-degree <= by, each once.
     for bx in range(4):
         for by in range(4):
             ops = list(annihilator.bounded_operators(n, bx, by))

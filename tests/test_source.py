@@ -5,6 +5,7 @@ from pathlib import Path
 import ghbasis
 
 SOURCE = Path(ghbasis.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_library_has_no_assert_statements():
@@ -51,6 +52,12 @@ def test_float_sites_finds_each_kind():
     assert float_sites(source) == [2, 3, 4, 5]
 
 
+def read_names(trees):
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
 def unreferenced_private_helpers(sources):
     """Private (single-underscore, not dunder) functions and classes that are
     defined in sources but never read as a Name or Attribute in any of them."""
@@ -58,10 +65,7 @@ def unreferenced_private_helpers(sources):
     defined = {node.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")}
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
-    return sorted(defined - used)
+    return sorted(defined - read_names(trees))
 
 
 def test_every_private_helper_is_referenced():
@@ -73,3 +77,34 @@ def test_every_private_helper_is_referenced():
 def test_unreferenced_private_helpers_finds_an_unused_helper():
     source = "def _a():\n    return 1\n\ndef _b():\n    return _a()\n\ndef __c__():\n    pass\n"
     assert unreferenced_private_helpers([source]) == ["_b"]
+
+
+def orphaned_public_names(library, exported, outside):
+    """Module-level public functions and classes of library (module name ->
+    source) that no library source reads, that exported leaves out, and that
+    no outside source reads or names by a "module.name" string."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    outside_trees = [ast.parse(source) for source in outside]
+    kept = read_names(trees.values()) | read_names(outside_trees) | set(exported)
+    named = {node.value for tree in outside_trees for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in kept
+                  and f"{module}.{node.name}" not in named)
+
+
+def test_every_public_function_has_a_reader():
+    # A public function that nothing reads, exports or benchmarks is dead code.
+    library = {path.stem: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    outside = [path.read_text() for folder in ("scripts", "perfbench")
+               for path in sorted((REPO / folder).glob("*.py"))]
+    assert orphaned_public_names(library, ghbasis.__all__, outside) == []
+
+
+def test_orphaned_public_names_finds_an_orphan():
+    library = {"m": "def a():\n    return b()\n\ndef b():\n    pass\n\n"
+                    "def c():\n    pass\n\ndef d():\n    pass\n\n"
+                    "class E:\n    def f(self):\n        pass\n\ndef g():\n    pass\n"}
+    outside = ["import m\nm.d()\nSPANS = ['m.g']\n"]
+    assert orphaned_public_names(library, ["c"], outside) == ["m.E", "m.a"]

@@ -13,7 +13,6 @@ from ghbasis.zerox import (
     corner_recursion_check,
     count_check,
     enumerate_general,
-    flip_general,
     reconstruct_general,
     split_general,
     verify_zero_x_degree_basis,
@@ -78,16 +77,6 @@ def test_split_examples():
     assert format_monomial(t) == "y1"
     all_crossed = next(d for d in drawings if s_string(d) == "x1*y2")
     assert split_general(all_crossed)[1].is_unit()
-
-
-def test_flip_gives_pure_y_cross_diagram():
-    for d in enumerate_general(Partition((3, 1))):
-        flipped = flip_general(d)
-        s_f, t_f = split_general(flipped)
-        # flipped crosses are the original whites and vice versa (y side)
-        s, t = split_general(d)
-        assert s_f.yexp == t.yexp
-        assert t_f.yexp == s.yexp
 
 
 @pytest.mark.parametrize("n", range(1, 7))
