@@ -26,7 +26,9 @@ squarefree vector of Ybar.  A rewriting step shifts the operator's own
 vectors in the same way.
 
 Delta_mu is alternating, so :func:`annihilates` expands one term per orbit of
-the Young subgroup that fixes the operator, not every term of it.
+the Young subgroup that fixes the operator, not every term of it, and each
+expansion walks only the permutations of Delta that survive the term
+(:func:`ghbasis.delta.diff_delta_poly`).
 
 The rewriting expresses any monomial operator modulo the ideal as an
 integer combination of drawing operators.  A non-drawing diagram is
@@ -48,12 +50,12 @@ from itertools import chain, combinations, combinations_with_replacement, produc
 from math import comb
 from operator import add
 
-from .delta import DeltaPolynomial, build_delta, perm_sign
+from .delta import DeltaPolynomial, build_delta, diff_delta_poly, perm_sign
 from .errors import InvariantError, RewriteDefectError, SizeLimitError
 from .hooks import HookDrawing, enumerate_drawings, split
 from .linalg import Eliminator, column
 from .partitions import hook_partition
-from .poly import Monomial, Polynomial, apply_diff_poly, descent_key
+from .poly import Monomial, Polynomial, descent_key
 
 CASE_VALID = "valid-drawing"
 CASE_NULL = "null-operator"          # some place carries both x- and y-orders
@@ -163,14 +165,16 @@ def annihilates(P: Polynomial, delta: DeltaPolynomial) -> bool:
     pairs (x_i, y_i) sorted inside each block.  Each H-orbit O of P's terms,
     with coefficient c_O, gives its canonical term R_O the weight
     w_O = c_O |O|, the coefficient sum of the orbit, and
-    Q = sum_O w_O R_O(d) Delta is one expansion.  Delta is alternating, so
-    (hT)(d) Delta = sgn(h) h(T(d) Delta) for every h in H; summing over H
-    gives A_H(Q) = |H| P(d) Delta, where A_H f = sum_h sgn(h) h(f).  A_H sends
-    a monomial that repeats a pair inside a block to 0 and any other to the
-    sign of its sorting permutation times A_H of its canonical form, and the
-    images of distinct canonical forms have disjoint supports.  So P kills
+    Q = sum_O w_O R_O(d) Delta is one expansion, over the permutations of
+    Delta that survive each R_O (delta.diff_delta_poly).  Delta is
+    alternating, so (hT)(d) Delta = sgn(h) h(T(d) Delta) for every h in H;
+    summing over H gives A_H(Q) = |H| P(d) Delta, where
+    A_H f = sum_h sgn(h) h(f).  A_H sends a monomial that repeats a pair
+    inside a block to 0 and any other to the sign of its sorting permutation
+    times A_H of its canonical form, and the images of distinct canonical
+    forms have disjoint supports.  So P kills
     Delta exactly when every canonical sum of Q's signed coefficients is 0.
-    When H is trivial, those sums are Q itself, the full expansion.
+    When H is trivial, those sums are Q itself: P(d) Delta, term by term.
     """
     if P.n != delta.n:
         raise ValueError(f"operator ambient {P.n} != Delta ambient {delta.n}")
@@ -185,7 +189,7 @@ def annihilates(P: Polynomial, delta: DeltaPolynomial) -> bool:
         weights[form] = weights.get(form, 0) + c
     operator = Polynomial(P.n, {Monomial(*zip(*form)): w for form, w in weights.items()})
     sums: dict[tuple, int] = {}
-    for m, c in apply_diff_poly(operator, delta.value).terms.items():
+    for m, c in diff_delta_poly(operator, delta).terms.items():
         form, sign = _signed_form(m, blocks)
         if sign:
             sums[form] = sums.get(form, 0) + sign * c

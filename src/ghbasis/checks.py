@@ -18,6 +18,7 @@ rows of single criteria.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
@@ -290,19 +291,37 @@ def criterion(label: str) -> Criterion:
     return next(c for c in REGISTRY if c.label == label)
 
 
-def run(level: str, criteria=REGISTRY) -> list[tuple[Criterion, Check]]:
-    """Every (criterion, row) of the chosen criteria at the given level."""
+def run(level: str, criteria=REGISTRY,
+        progress: Callable[[str, int, float], None] | None = None) -> list[tuple[Criterion, Check]]:
+    """Every (criterion, row) of the chosen criteria at the given level.
+
+    When given, progress(name, rows, seconds) is called after each hook, with
+    the rows of all its criteria, and after each partition of a PARTITION
+    criterion.
+    """
+    out: list[tuple[Criterion, Check]] = []
+
+    def emit(name: str, make: Callable[[], list[tuple[Criterion, Check]]]) -> None:
+        started = time.perf_counter()
+        rows = make()
+        out.extend(rows)
+        if progress is not None:
+            progress(name, len(rows), time.perf_counter() - started)
+
     per_hook = [c for c in criteria if c.scope == HOOK]
     nmax = max((c.bound(level) for c in per_hook), default=0)
-    contexts = (HookContext(K, n - 1 - K) for n in range(1, nmax + 1) for K in range(n))
-    out: list[tuple[Criterion, Check]] = [
-        (c, row) for ctx in contexts for c in per_hook if ctx.n <= c.bound(level)
-        for row in c.rows(ctx)]
+    for n in range(1, nmax + 1):
+        for K in range(n):
+            ctx = HookContext(K, n - 1 - K)
+            emit(ctx.name, lambda: [(c, row) for c in per_hook if ctx.n <= c.bound(level)
+                                    for row in c.rows(ctx)])
+            del ctx  # the hook's shared work goes before the next hook's
     for c in criteria:
         bound = c.bound(level)
         if c.scope == PARTITION:
-            out.extend((c, row) for n in range(1, bound + 1)
-                       for mu in partitions_of(n) for row in c.rows(mu))
+            for n in range(1, bound + 1):
+                for mu in partitions_of(n):
+                    emit(f"{c.label} ({mu})", lambda: [(c, row) for row in c.rows(mu)])
         elif c.scope == ONCE:
             out.extend((c, row) for row in c.rows(bound))
     return out

@@ -232,13 +232,21 @@ def _cmd_zerox(args, report: Report) -> None:
 def _cmd_suite(args, report: Report) -> None:
     """Every registered criterion at its bound for --level (see ghbasis.checks).
 
+    At --level full, one progress line per hook or partition goes to stderr.
+
     Stops before any check runs when a hook or partition bound of the level
     exceeds --limit-n; ONCE criteria enumerate nothing and are exempt.
     """
     nmax = max(c.bound(args.level) for c in REGISTRY if c.scope != ONCE)
     if nmax > args.limit_n:
         raise SizeLimitError(f"n = {nmax} (level {args.level}) exceeds --limit-n = {args.limit_n}")
-    report.checks.extend(row for _, row in run_checks(args.level))
+    progress = _print_progress if args.level == "full" else None
+    report.checks.extend(row for _, row in run_checks(args.level, progress=progress))
+
+
+def _print_progress(name: str, rows: int, seconds: float) -> None:
+    """One stderr line per hook or partition of `suite --level full`."""
+    print(f"{name}: rows={rows} time={seconds:.2f}s", file=sys.stderr, flush=True)
 
 
 _COMMANDS = {

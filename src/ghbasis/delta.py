@@ -1,16 +1,32 @@
-"""The determinant Delta_mu of the biexponent monomial matrix.
+"""The determinant Delta_mu of the biexponent monomial matrix and its derivatives.
 
 Delta_mu = det( x_i^{p_j} y_i^{q_j} ), rows indexed by the variable index i,
 columns by the biexponents (p_j, q_j) of mu in lexicographic order.  It is
 bihomogeneous of bidegree (n(mu), n(mu')); for mu = (1^n) or (n) it reduces
 to the Vandermonde determinant in x or y.
+
+A monomial operator d^m with m = prod x_i^{a_i} y_i^{b_i} acts on row i
+alone, so d^m Delta_mu is the determinant of the differentiated rows: row i
+may take column j only when p_j >= a_i and q_j >= b_i, with the factor
+perm(p_j, a_i) * perm(q_j, b_i) and the exponents (p_j - a_i, q_j - b_i)
+left behind.  :func:`diff_delta` expands that determinant over the
+permutations that survive d^m, never over all n! terms of Delta.  It fills
+the rows that m touches first, since only they can run out of columns, and
+then deals the free columns to the other rows.  The row choices are
+tabulated once per partition and (a, b).  The biexponents are distinct, so
+distinct permutations give distinct monomials and nothing cancels inside
+one d^m.  :func:`build_delta` is the case m = 1, where every permutation
+survives.  poly.apply_diff, which walks every term, is the test oracle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
+from math import perm
+from operator import itemgetter
 
 from .errors import SizeLimitError
 from .partitions import Partition, biexponents, conjugate, n_stat
@@ -31,29 +47,152 @@ class DeltaPolynomial:
 
 
 def build_delta(mu: Partition, limit: int = DEFAULT_LIMIT) -> DeltaPolynomial:
-    """Expand the determinant as a signed sum over all n! permutations.
+    """Delta_mu as d^1 Delta_mu: every permutation survives the unit operator.
 
-    The sign convention makes the identity permutation positive; downstream
-    checks are insensitive to the global sign.  The biexponents of mu are
-    distinct, so distinct permutations give distinct monomials and no two
-    terms cancel: Delta has exactly n! terms, each with coefficient +-1.
+    The term of sigma is sgn(sigma) prod_i x_i^{p_sigma(i)} y_i^{q_sigma(i)},
+    so the identity permutation is positive; downstream checks are
+    insensitive to the global sign.  The terms come in the lexicographic
+    order of sigma, and each has coefficient +-1: Delta has exactly n! terms.
     """
     n = mu.n
     if n > limit:
         raise SizeLimitError(f"n = {n} exceeds the determinant size limit {limit}")
-    cols = [b.as_pair() for b in biexponents(mu)]
-    terms: dict[Monomial, int] = {}
-    for sigma in permutations(range(n)):
-        sign = perm_sign(sigma)
-        xe = [0] * n
-        ye = [0] * n
-        for i in range(n):
-            p, q = cols[sigma[i]]
-            xe[i] = p
-            ye[i] = q
-        terms[Monomial(tuple(xe), tuple(ye))] = sign
-    value = Polynomial(n, terms)
+    unit = Monomial((0,) * n, (0,) * n)
+    value = Polynomial(n, _expand(mu.parts, unit, 1))
     return DeltaPolynomial(value=value, mu=mu, bidegree=(n_stat(mu), n_stat(conjugate(mu))))
+
+
+def diff_delta(op: Monomial, delta: DeltaPolynomial) -> Polynomial:
+    """d^op Delta_mu, expanded over the surviving permutations only.
+
+    Equal to poly.apply_diff(op, delta.value); an operator of another
+    ambient n raises ValueError.
+    """
+    return Polynomial(delta.n, _expand(delta.mu.parts, op, 1))
+
+
+def diff_delta_poly(operator: Polynomial, delta: DeltaPolynomial) -> Polynomial:
+    """P(d) Delta_mu for P = sum c_m m, one surviving expansion per term.
+
+    Equal to poly.apply_diff_poly(operator, delta.value); an operator of
+    another ambient n raises ValueError.
+    """
+    if operator.n != delta.n:
+        raise ValueError(f"operator ambient {operator.n} != Delta ambient {delta.n}")
+    out: dict[Monomial, int] = {}
+    for m, c in operator.terms.items():
+        image = _expand(delta.mu.parts, m, c)
+        if not out:
+            out = image
+            continue
+        for t, v in image.items():
+            s = out.get(t, 0) + v
+            if s:
+                out[t] = s
+            else:
+                del out[t]
+    return Polynomial(delta.n, out)
+
+
+@lru_cache(maxsize=None)
+def _row_table(parts: tuple[int, ...]):
+    """(choices, p, q) for the partition with these parts.
+
+    p and q are the column exponents, columns 0..n-1.  choices[a, b], for
+    a <= max p and b <= max q, lists (j, perm(p_j, a) * perm(q_j, b),
+    p_j - a, q_j - b) for every column j with p_j >= a and q_j >= b, in
+    column order; an (a, b) outside that box has no column.  The table
+    lasts as long as the process, one per partition, and holds nothing
+    that depends on an operator.
+    """
+    cols = [c.as_pair() for c in biexponents(Partition(parts))]
+    ps = tuple(p for p, _ in cols)
+    qs = tuple(q for _, q in cols)
+    choices = {(a, b): tuple((j, perm(p, a) * perm(q, b), p - a, q - b)
+                             for j, (p, q) in enumerate(cols) if p >= a and q >= b)
+               for a in range(max(ps) + 1) for b in range(max(qs) + 1)}
+    return choices, ps, qs
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int):
+    """One entry per set of rows or columns in range(n), as a bit mask,
+    shared by the partitions of n: (sign, pick, rest, signs).
+
+    sign is -1 to the number of pairs of a member above a non-member.  That
+    is sgn(pi) for the order pi that lists the members first, and also the
+    sign of the inversions between chosen columns and the free columns dealt
+    after them.  pick is the itemgetter that puts exponents listed in the
+    order pi back in row order (None when pi is the identity), rest the
+    non-members in order, and signs the signs of the permutations of rest in
+    the lexicographic order of itertools.permutations.
+    """
+    # A permutation of range(k) starting with f has f inversions through its
+    # first entry, and its tail runs through the permutations of the other
+    # k-1 entries in lexicographic order.
+    signs = [(1,)]
+    for k in range(1, n + 1):
+        signs.append(tuple(-s if f % 2 else s for f in range(k) for s in signs[-1]))
+    table = []
+    for mask in range(1 << n):
+        rest = tuple(i for i in range(n) if not mask >> i & 1)
+        pi = [i for i in range(n) if mask >> i & 1] + list(rest)
+        crossings = sum((mask >> j).bit_count() for j in rest)
+        pick = itemgetter(*sorted(range(n), key=pi.__getitem__)) if crossings else None
+        table.append((-1 if crossings % 2 else 1, pick, rest, signs[len(rest)]))
+    return tuple(table)
+
+
+def _expand(parts: tuple[int, ...], op: Monomial, scale: int) -> dict[Monomial, int]:
+    """scale * d^op Delta_mu as a fresh term dict.
+
+    The rows that op touches, (a_i, b_i) != (0, 0), are filled first, one
+    row at a time, keeping every partial choice of distinct columns; each
+    survivor then deals its free columns to the other rows in every order.
+    List the rows in that processing order as a permutation pi, and the
+    columns chosen along it as a sequence c.  Then sigma o pi = c, so
+    sgn(sigma) = sgn(pi) sgn(c), and the inversions of c are counted as its
+    columns are chosen.  Equal exponent vectors share one tuple within a
+    call, which keeps an image as small as poly.apply_diff kept it: its
+    terms shared Delta's tuples in the alphabet that op leaves alone.
+    """
+    choices, ps, qs = _row_table(parts)
+    n = len(ps)
+    if len(op.xexp) != n:
+        raise ValueError(f"operator ambient {len(op.xexp)} != Delta ambient {n}")
+    layout = _layout(n)
+    rows = []
+    filled = 0
+    for i, ab in enumerate(zip(op.xexp, op.yexp)):
+        if ab != (0, 0):
+            row = choices.get(ab)
+            if not row:
+                return {}
+            rows.append(row)
+            filled |= 1 << i
+    sign, pick, _, _ = layout[filled]
+    # Partial choices (used columns, coefficient, x and y exponents of the
+    # filled rows so far), one filled row at a time.
+    partial = [(0, sign * scale, (), ())]
+    for row in rows:
+        partial = [(used | 1 << j, (-c if (used >> j).bit_count() % 2 else c) * f,
+                    tx + (p,), ty + (q,))
+                   for used, c, tx, ty in partial for j, f, p, q in row if not used >> j & 1]
+    out: dict[Monomial, int] = {}
+    keep = {}.setdefault
+    for used, c, tx, ty in partial:
+        sign, _, rest, signs = layout[used]
+        c *= sign
+        fx = permutations([ps[j] for j in rest])
+        fy = permutations([qs[j] for j in rest])
+        for xs, ys, s in zip(fx, fy, signs):
+            x = tx + xs
+            y = ty + ys
+            if pick is not None:
+                x = pick(x)
+                y = pick(y)
+            out[Monomial(keep(x, x), keep(y, y))] = s * c
+    return out
 
 
 def perm_sign(sigma: Sequence[int]) -> int:

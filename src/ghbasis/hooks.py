@@ -30,7 +30,7 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, product
 from math import comb, factorial, perm
 
-from .delta import DeltaPolynomial
+from .delta import DeltaPolynomial, diff_delta
 from .errors import InvariantError, NoPreimageError, SizeLimitError
 from .partitions import hook_partition
 from .poly import Monomial, Polynomial, apply_diff
@@ -231,7 +231,7 @@ def is_son(parent: HookDrawing, candidate: HookDrawing, delta: DeltaPolynomial) 
     if parent == candidate:
         raise ValueError("son relation requires two different drawings")
     _require_hook_delta((parent, candidate), delta)
-    image = apply_diff(split(candidate)[0], delta.value)
+    image = diff_delta(split(candidate)[0], delta)
     image = apply_diff(split(parent)[1], image)
     return image.is_constant() and not image.is_zero()
 
@@ -241,7 +241,7 @@ def cross_images(drawings: list[HookDrawing], delta: DeltaPolynomial) -> list[Po
 
     A Delta of another hook than the drawings' raises ValueError."""
     _require_hook_delta(drawings, delta)
-    return [apply_diff(split(d)[0], delta.value) for d in drawings]
+    return [diff_delta(split(d)[0], delta) for d in drawings]
 
 
 def son_edges(drawings: list[HookDrawing], images: list[Polynomial]) -> dict[int, list[int]]:

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
-from .delta import DeltaPolynomial
+from .delta import DeltaPolynomial, diff_delta
 from .errors import NoPreimageError, SizeLimitError
 from .linalg import homogeneous_family_rank, x_degree_zero_closure
 from .partitions import Partition, biexponents, conjugate_factorial, corners, remove_corner
-from .poly import Monomial, apply_diff, min_monomial
+from .poly import Monomial, min_monomial
 
 DEFAULT_LIMIT = 8
 
@@ -213,7 +213,7 @@ def check_minimal_monomials(d: GeneralDrawing, delta: DeltaPolynomial) -> bool:
     if delta.mu != d.mu:
         raise ValueError(f"Delta of {delta.mu} given for a drawing of {d.mu}")
     s, t = split_general(d)
-    return _minimal_monomials_ok(s, t, apply_diff(s, delta.value), apply_diff(t, delta.value))
+    return _minimal_monomials_ok(s, t, diff_delta(s, delta), diff_delta(t, delta))
 
 
 def _minimal_monomials_ok(s: Monomial, t: Monomial, image_s, image_t) -> bool:
@@ -242,8 +242,8 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
     for d in drawings:
         s, t = split_general(d)
         white_halves.add(t)
-        ps = apply_diff(s, delta.value)
-        pt = apply_diff(t, delta.value)
+        ps = diff_delta(s, delta)
+        pt = diff_delta(t, delta)
         s_images.append(ps)
         t_images.append(pt)
         if ps.is_zero() or any(m.xdeg() != 0 for m in ps.terms):

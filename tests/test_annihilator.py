@@ -18,7 +18,7 @@ from ghbasis.annihilator import (
     reduce_step,
 )
 from ghbasis import annihilator, checks, hooks
-from ghbasis.delta import build_delta
+from ghbasis.delta import build_delta, diff_delta_poly
 from ghbasis.errors import RewriteDefectError, SizeLimitError
 from ghbasis.hooks import enumerate_drawings, split
 from ghbasis.linalg import Eliminator, derivative_closure
@@ -130,11 +130,11 @@ def test_annihilates_expands_one_term_per_orbit(monkeypatch):
     # h_X(i) is dropped by degree.
     seen = []
 
-    def counting(operator, p):
+    def counting(operator, delta):
         seen.append(len(operator.terms))
-        return apply_diff_poly(operator, p)
+        return diff_delta_poly(operator, delta)
 
-    monkeypatch.setattr(annihilator, "apply_diff_poly", counting)
+    monkeypatch.setattr(annihilator, "diff_delta_poly", counting)
     delta = build_delta(hook_partition(0, 5))
     for tag, P in generators(0, 5).entries:
         if tag.startswith("h_X("):
@@ -151,10 +151,10 @@ def test_annihilates_drops_the_terms_over_the_degree_of_delta(monkeypatch):
     assert annihilates(h1 + parse_poly("y2^2*x3", 3), delta)
     assert not annihilates(h1 + parse_poly("x1", 3), delta)
 
-    def no_expansion(operator, p):
+    def no_expansion(operator, delta):
         raise AssertionError("an operator over the degree of Delta was expanded")
 
-    monkeypatch.setattr(annihilator, "apply_diff_poly", no_expansion)
+    monkeypatch.setattr(annihilator, "diff_delta_poly", no_expansion)
     assert annihilates(parse_poly("x1^2 - 3*y1^2*x2 + y3^5", 3), delta)
 
 

@@ -238,3 +238,40 @@ def test_run_returns_report_object():
     assert report.ok
     assert report.command == "zerox count"
     assert report.params["partition"] == "2,1"
+
+
+TINY = (
+    checks.Criterion("H", "one row per hook", checks.HOOK, 1, 2, lambda ctx: [
+        checks.Check(ctx.name, 1, 1)]),
+    checks.Criterion("P", "two rows per partition", checks.PARTITION, 1, 3, lambda mu: [
+        checks.Check(f"{mu} a", 1, 1), checks.Check(f"{mu} b", 1, 1)]),
+    checks.Criterion("O", "once", checks.ONCE, None, None, lambda bound: [
+        checks.Check("once", 1, 1)]),
+)
+
+
+def test_run_reports_progress_per_hook_and_partition():
+    seen = []
+    rows = checks.run("full", TINY, progress=lambda *line: seen.append(line[:2]))
+    assert [name for name, _ in seen] == [
+        "hooks(0,0)", "hooks(0,1)", "hooks(1,0)",
+        "P (1)", "P (2)", "P (1,1)", "P (3)", "P (2,1)", "P (1,1,1)"]
+    assert [count for _, count in seen] == [1, 1, 1] + [2] * 6
+    assert rows == checks.run("full", TINY)
+
+
+@pytest.mark.parametrize("level", ["smoke", "full"])
+def test_suite_prints_progress_to_stderr_at_full_only(level, monkeypatch, capsys):
+    real = cli.run_checks
+    monkeypatch.setattr(cli, "run_checks", lambda lvl, progress=None: real(lvl, TINY, progress))
+    assert main(["suite", "--level", level, "--output", "json"]) == EXIT_OK
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert [c["name"] for c in payload["checks"]] == [row.name for _, row in real(level, TINY)]
+    lines = captured.err.splitlines()
+    if level == "smoke":
+        assert lines == []
+    else:
+        assert len(lines) == 3 + 6
+        assert lines[0].startswith("hooks(0,0): rows=1 time=") and lines[0].endswith("s")
+        assert lines[-1].startswith("P (1,1,1): rows=2 time=")

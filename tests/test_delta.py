@@ -1,13 +1,17 @@
+import random
 from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghbasis.delta import build_delta, perm_sign
+from ghbasis import delta as delta_module
+from ghbasis.annihilator import bounded_operators, generators
+from ghbasis.delta import build_delta, diff_delta, diff_delta_poly, perm_sign
 from ghbasis.errors import SizeLimitError
-from ghbasis.partitions import Partition, conjugate, n_stat, partitions_of
-from ghbasis.poly import Monomial, Polynomial, apply_diff, parse_poly
+from ghbasis.partitions import (Partition, biexponents, conjugate, hook_partition, n_stat,
+                                 partitions_of)
+from ghbasis.poly import Monomial, Polynomial, apply_diff, apply_diff_poly, parse_poly
 
 
 def swap_variable_pair(p: Polynomial, i: int, j: int) -> Polynomial:
@@ -108,3 +112,84 @@ def test_degree_statistic_consistency(n):
         total = n_stat(mu) + n_stat(conjugate(mu))
         for m in d.value.terms:
             assert m.xdeg() + m.ydeg() == total
+
+
+def expanded_by_permutations(mu: Partition) -> dict[Monomial, int]:
+    """Delta_mu as the signed sum over itertools.permutations: the oracle."""
+    cols = [b.as_pair() for b in biexponents(mu)]
+    return {Monomial(tuple(cols[j][0] for j in sigma), tuple(cols[j][1] for j in sigma)):
+            perm_sign(sigma) for sigma in permutations(range(mu.n))}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_build_delta_matches_the_permutation_loop_in_order(n):
+    for mu in partitions_of(n):
+        want = expanded_by_permutations(mu)
+        assert list(build_delta(mu).value.terms.items()) == list(want.items()), mu
+
+
+def box_operators(delta):
+    """Every monomial operator within the bidegree of Delta."""
+    return bounded_operators(delta.n, *delta.bidegree)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_diff_delta_matches_apply_diff_on_the_operator_box(n):
+    for mu in partitions_of(n):
+        delta = build_delta(mu)
+        for op in box_operators(delta):
+            assert diff_delta(op, delta) == apply_diff(op, delta.value), (mu, op)
+
+
+@pytest.mark.parametrize("mu", [*partitions_of(5), *(hook_partition(K, 5 - K) for K in range(6))],
+                         ids=str)
+def test_diff_delta_matches_apply_diff_on_a_sample(mu):
+    delta = build_delta(mu)
+    operators = list(box_operators(delta))
+    for op in random.Random(16).sample(operators, min(2000, len(operators))):
+        assert diff_delta(op, delta) == apply_diff(op, delta.value), op
+
+
+@pytest.mark.parametrize("K,L", [(K, n - 1 - K) for n in range(1, 5) for K in range(n)])
+def test_diff_delta_poly_matches_apply_diff_poly_on_the_generators(K, L):
+    delta = build_delta(hook_partition(K, L))
+    # Every generator kills Delta, so the images of its terms cancel in the sum.
+    for tag, P in generators(K, L).entries:
+        assert diff_delta_poly(P, delta) == apply_diff_poly(P, delta.value), tag
+        assert diff_delta_poly(P, delta).is_zero(), tag
+
+
+def test_diff_delta_does_not_assume_a_hook():
+    # No column of a hook has p, q >= 1, so x1*y1 kills every hook's Delta;
+    # (2,2) has the biexponent (1, 1), and the image is nonzero.
+    delta = build_delta(Partition((2, 2)))
+    op = Monomial((1, 0, 0, 0), (1, 0, 0, 0))
+    image = diff_delta(op, delta)
+    assert not image.is_zero()
+    assert image == apply_diff(op, delta.value)
+    assert diff_delta(op, build_delta(hook_partition(2, 1))).is_zero()
+
+
+def test_diff_delta_rejects_an_operator_of_another_ambient():
+    delta = build_delta(Partition((2, 1)))
+    with pytest.raises(ValueError):
+        diff_delta(Monomial((1, 0), (0, 0)), delta)
+    with pytest.raises(ValueError):
+        diff_delta_poly(parse_poly("x1 + x4", 4), delta)
+
+
+def test_a_row_table_missing_a_column_fails_the_oracle(monkeypatch):
+    # The last column leaves the choices of every row an operator touches.
+    real = delta_module._row_table
+
+    def dropped(parts):
+        choices, ps, qs = real(parts)
+        last = len(ps) - 1
+        return {ab: tuple(c for c in row if c[0] != last) for ab, row in choices.items()}, ps, qs
+
+    monkeypatch.setattr(delta_module, "_row_table", dropped)
+    delta = build_delta(Partition((2, 1)))
+    assert delta.value == Polynomial(3, expanded_by_permutations(Partition((2, 1))))
+    mismatches = [op for op in box_operators(delta)
+                  if diff_delta(op, delta) != apply_diff(op, delta.value)]
+    assert mismatches

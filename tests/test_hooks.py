@@ -379,13 +379,13 @@ def test_each_hook_enumerates_and_differentiates_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(hooks, "apply_diff", counting("apply_diff", hooks.apply_diff))
+    monkeypatch.setattr(hooks, "diff_delta", counting("diff_delta", hooks.diff_delta))
     enumerate_counted = counting("enumerate_drawings", hooks.enumerate_drawings)
     for module in (hooks, checks):
         monkeypatch.setattr(module, "enumerate_drawings", enumerate_counted)
     smoke_hooks = list(hooks_up_to(checks.criterion("A7b").smoke))
     checks.run("smoke", [checks.criterion(label) for label in ("A2", "A7b", "A7c")])
-    assert calls["apply_diff"] == sum(factorial(K + L + 1) for K, L in smoke_hooks) == 119
+    assert calls["diff_delta"] == sum(factorial(K + L + 1) for K, L in smoke_hooks) == 119
     calls.clear()
     checks.run("smoke", [checks.criterion("A1"), checks.criterion("A7b")])
     assert calls["enumerate_drawings"] == len(smoke_hooks) == 10

@@ -52,6 +52,30 @@ def test_float_sites_finds_each_kind():
     assert float_sites(source) == [2, 3, 4, 5]
 
 
+def diff_calls_on_values(source):
+    """Line numbers of apply_diff/apply_diff_poly calls with an argument `<x>.value`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in ("apply_diff", "apply_diff_poly")
+                  and any(isinstance(arg, ast.Attribute) and arg.attr == "value"
+                          for arg in [*node.args, *(k.value for k in node.keywords)]))
+
+
+def test_library_differentiates_delta_only_through_diff_delta():
+    # Every operator applied to Delta expands only the permutations that
+    # survive it (delta.diff_delta), never all n! terms of delta.value.
+    found = [f"{path.name}:{line}" for path in sorted(SOURCE.glob("*.py"))
+             for line in diff_calls_on_values(path.read_text())]
+    assert found == []
+
+
+def test_diff_calls_on_values_finds_a_planted_call():
+    source = ("a = apply_diff(op, delta.value)\nb = poly.apply_diff_poly(P, p=d.value)\n"
+              "c = apply_diff(op, image)\nd = diff_delta(op, delta)\ne = f(delta.value)\n")
+    assert diff_calls_on_values(source) == [1, 2]
+
+
 def read_names(trees):
     return {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees for node in ast.walk(tree)
