@@ -587,20 +587,26 @@ def quotient_hilbert(K: int, L: int, limit: int = 7) -> QuotientTable:
     the complementary bidegree, each reduced mod M by dropping its
     non-standard terms (g*r lies in M whenever r does).  The table covers
     the grid a <= L(L+1)/2, b <= K(K+1)/2; its total must be n! and the
-    shell just outside the grid must vanish.  The standard monomials of
-    every bidegree that the grid and the shell read are listed once.
+    shell just outside the grid must vanish.
+
+    Every single-term generator is squarefree, or InvariantError is raised.
+    So it divides m exactly when its support lies inside m's, and whether m
+    is standard depends on its support alone: one table over the 2^(2n)
+    supports (:func:`_standard_supports`) decides it.  The standard
+    monomials of every bidegree that the grid and the shell read are listed
+    once.
     """
     n = K + L + 1
     if n > limit:
         raise SizeLimitError(f"n = {n} exceeds the quotient size limit {limit}")
     gens = generators(K, L).polynomials
-    monomials = [next(iter(g.terms)) for g in gens if len(g.terms) == 1]
+    ok = _standard_supports([next(iter(g.terms)) for g in gens if len(g.terms) == 1], n)
     others = [g for g in gens if len(g.terms) > 1]
     amax = L * (L + 1) // 2
     bmax = K * (K + 1) // 2
-    hx, hy = _by_degree(amax + 1, n), _by_degree(bmax + 1, n)
-    standard = {(a, b): [m for m in starmap(Monomial, product(hx[a], hy[b]))
-                         if not any(g.divides(m) for g in monomials)]
+    hx = [[(e, _support(e)) for e in vectors] for vectors in _by_degree(amax + 1, n)]
+    hy = [[(e, _support(e) << n) for e in vectors] for vectors in _by_degree(bmax + 1, n)]
+    standard = {(a, b): [Monomial(xe, ye) for xe, xs in hx[a] for ye, ys in hy[b] if ok[xs | ys]]
                 for a in range(amax + 2) for b in range(bmax + 2)}
 
     def dim(a: int, b: int) -> int:
@@ -613,15 +619,50 @@ def quotient_hilbert(K: int, L: int, limit: int = 7) -> QuotientTable:
                          shell_zero=all(v == 0 for v in shell))
 
 
+def _support(e: tuple[int, ...]) -> int:
+    """Bit mask of the places where the exponent vector e is nonzero."""
+    return sum(1 << i for i, v in enumerate(e) if v)
+
+
+def _standard_supports(monomials: list[Monomial], n: int) -> bytearray:
+    """ok[s] = 1 iff no monomial of the list divides a monomial of support s.
+
+    A support has bit i for x_{i+1} and bit n + i for y_{i+1}.  Each listed
+    monomial must be squarefree (else InvariantError), so it divides exactly
+    the monomials whose support holds its own; the supports it blocks are
+    closed upward one bit at a time.
+    """
+    size = 1 << 2 * n
+    ok = bytearray(b"\1") * size
+    for m in monomials:
+        if max(m.xexp + m.yexp) > 1:
+            raise InvariantError(f"single-term generator {m} is not squarefree")
+        ok[_support(m.xexp) | _support(m.yexp) << n] = 0
+    for i in range(2 * n):
+        bit = 1 << i
+        for s in range(size):
+            if s & bit and not ok[s ^ bit]:
+                ok[s] = 0
+    return ok
+
+
 def _graded_quotient_dim(standard: dict[tuple[int, int], list[Monomial]],
                          others: list[Polynomial], a: int, b: int) -> int:
-    cols = {m: column(m) for m in standard[a, b]}
+    """dim (R/I)_(a,b) from the standard monomials and the multi-term generators.
+
+    Everything is packed in the base a + b + 1, above every exponent of the
+    bidegree, so the column of a shift t*r is the sum of the columns of t
+    and r, and the term is kept when that sum is a standard column.
+    """
+    base = a + b + 1
+    cols = {column(m, base) for m in standard[a, b]}
     elim = Eliminator()
     for g in others:
         ga, gb = next(iter(g.terms)).bidegree()
         if ga > a or gb > b:
             continue
+        terms = [(column(t, base), c) for t, c in g.terms.items()]
         for r in standard[a - ga, b - gb]:
-            shifted = ((t.mul(r), c) for t, c in g.terms.items())
-            elim.add({cols[t]: c for t, c in shifted if t in cols})
+            shift = column(r, base)
+            elim.add({col: c for t, c in terms if (col := t + shift) in cols})
     return len(cols) - elim.rank

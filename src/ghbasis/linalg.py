@@ -1,14 +1,20 @@
 """Exact rank computations over the integers.
 
-One column order: every exact rank eliminates over :func:`column`, the
-mono_less order of the paper's triangularity proofs.  Triangular families,
-such as cross images, then arrive already in echelon form, and closures and
-graded quotients measured faster than in first-seen or enumeration order.
-Every rank of a polynomial family runs through :func:`_closure`.  The one
-exception is the graded quotient (annihilator._graded_quotient_dim): it
-streams each generator-times-monomial row straight into its own
-:class:`Eliminator`, since holding those rows as Polynomials for _closure
-measured a higher peak memory and a slower verdict.
+Every monomial of a rank is a plain integer, its elimination column
+(:func:`column`): x_1, y_1, ..., x_n, y_n read as digits in a base above
+every exponent of the computation, negated.  Within a bidegree that is the
+mono_less order of the paper's triangularity proofs, so triangular families,
+such as cross images, arrive already in echelon form.  A row is a dict from
+column to coefficient.  Digits do not carry, so a product of monomials is
+the sum of their columns, and d/dx_i or d/dy_i reads one digit: it scales a
+term by that digit e and moves it one unit of the digit's weight up, or
+drops it when e = 0.
+
+Every rank of a polynomial family runs through :func:`_closure`, which
+converts its starting polynomials to rows once and differentiates rows from
+then on.  The one exception is the graded quotient
+(annihilator._graded_quotient_dim): it streams each generator-times-monomial
+row, a sum of columns, straight into its own :class:`Eliminator`.
 
 Rank needs only echelon form: a row is reduced until its lead (smallest
 column) is not a pivot column.  Each step clears the lead c with the pivot
@@ -22,16 +28,17 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InvariantError
-from .poly import Monomial, Polynomial, apply_diff
+from .poly import Monomial, Polynomial
 
 
-def column(m: Monomial) -> int:
-    """Elimination column of m; within one bidegree, ordered as mono_less.
+def column(m: Monomial, base: int) -> int:
+    """Elimination column of m: x_1, y_1, ..., x_n, y_n as base digits, negated.
 
-    x_1, y_1, ..., x_n, y_n read as base-(deg m + 1) digits, negated.  This
-    is injective only within a bidegree: at n = 1, x1 and y1^2 both give -2.
+    The caller picks a base above every exponent it packs, so each digit is
+    an exponent.  Then the map is injective, a larger exponent at the first
+    differing variable gives the smaller column (within a bidegree, the
+    mono_less order), and the column of a product is the sum of the columns.
     """
-    base = sum(m.xexp) + sum(m.yexp) + 1
     value = 0
     for a, b in zip(m.xexp, m.yexp):
         value = (value * base + a) * base + b
@@ -103,48 +110,51 @@ def homogeneous_family_rank(polys: list[Polynomial]) -> int:
     return _closure(polys, [])[0]
 
 
-def _closure(starts: list[Polynomial], ops: list[Monomial]) -> tuple[int, dict[tuple[int, int], int]]:
+def _closure(starts: list[Polynomial], ops: list[int]) -> tuple[int, dict[tuple[int, int], int]]:
     """(dimension, dimensions by bidegree) of the span of starts closed under ops.
 
-    Breadth first: each start, then each image of a queued polynomial under
-    each op in order, is kept only if it enlarges the span of its bidegree
-    block.  A dependent image adds nothing, since its images lie in the span
-    of the images of what it depends on.  Every op is a bihomogeneous
-    monomial, so bidegrees never collide across blocks and each block keeps
-    its own elimination state and column cache; a term whose bidegree is not
-    its block's raises ValueError, since :func:`column` mixes bidegrees.
-    """
-    blocks: dict[tuple[int, int], tuple[Eliminator, dict[Monomial, int]]] = {}
-    queue: list[Polynomial] = []
+    Each op is a single-variable derivative, named by its digit: 2i for
+    d/dx_{i+1} and 2i+1 for d/dy_{i+1}.  The base is 1 + the largest total
+    degree of the starts, which no exponent of a start or a derivative
+    reaches.  Each start becomes a row once; from then on a derivative works
+    on the row: a term at column col, with v = -col, has the digit
+    e = (v // w) % base at the op's weight w, so it goes to col + w with
+    its coefficient times e, or vanishes when e = 0.
 
-    def insert(p: Polynomial) -> None:
-        if p.is_zero():
+    Breadth first: each start, then each image of a queued row under each
+    op in order, is kept only if it enlarges the span of its bidegree block.
+    A dependent image adds nothing, since its images lie in the span of the
+    images of what it depends on.  Derivatives keep a row bihomogeneous, so
+    each block keeps its own elimination state; a start whose terms differ
+    in bidegree raises ValueError.
+    """
+    base = 1 + max((sum(m.xexp) + sum(m.yexp) for p in starts for m in p.terms), default=0)
+    top = 2 * starts[0].n - 1 if starts else 0
+    steps = [(base ** (top - op), 1 - op % 2, op % 2) for op in ops]
+    blocks: dict[tuple[int, int], Eliminator] = {}
+    queue: list[tuple[tuple[int, int], dict[int, int]]] = []
+
+    def insert(bideg: tuple[int, int], row: dict[int, int]) -> None:
+        if not row:
             return
-        bideg = next(iter(p.terms)).bidegree()
-        if bideg not in blocks:
-            blocks[bideg] = (Eliminator(), {})
-        elim, cols = blocks[bideg]
-        for m in p.terms.keys() - cols.keys():
-            if m.bidegree() != bideg:
-                raise ValueError(f"a term of bidegree {m.bidegree()} in the block {bideg}")
-            cols[m] = column(m)
-        if elim.add({cols[m]: c for m, c in p.terms.items()}):
-            queue.append(p)
+        elim = blocks.get(bideg)
+        if elim is None:
+            elim = blocks[bideg] = Eliminator()
+        if elim.add(row):
+            queue.append((bideg, row))
 
     for p in starts:
-        insert(p)
-    for current in queue:  # the queue grows while it is read: breadth first
-        for op in ops:
-            insert(apply_diff(op, current))
-    table = {bideg: elim.rank for bideg, (elim, _) in blocks.items()}
+        bidegs = {m.bidegree() for m in p.terms}
+        if len(bidegs) > 1:
+            raise ValueError(f"a polynomial of bidegrees {sorted(bidegs)}, not one block")
+        if bidegs:
+            insert(bidegs.pop(), {column(m, base): c for m, c in p.terms.items()})
+    for (a, b), row in queue:  # the queue grows while it is read: breadth first
+        for w, dx, dy in steps:
+            insert((a - dx, b - dy),
+                   {col + w: c * e for col, c in row.items() if (e := -col // w % base)})
+    table = {bideg: elim.rank for bideg, elim in blocks.items()}
     return sum(table.values()), table
-
-
-def _derivatives(n: int) -> tuple[list[Monomial], list[Monomial]]:
-    """([d/dx_1, ..., d/dx_n], [d/dy_1, ..., d/dy_n]) as monomial operators."""
-    zero = (0,) * n
-    units = [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
-    return [Monomial(e, zero) for e in units], [Monomial(zero, e) for e in units]
 
 
 def derivative_closure(delta) -> tuple[int, dict[tuple[int, int], int]]:
@@ -153,8 +163,8 @@ def derivative_closure(delta) -> tuple[int, dict[tuple[int, int], int]]:
     Starts from Delta and repeatedly applies the 2n single-variable
     derivatives d/dx_1, ..., d/dx_n, d/dy_1, ..., d/dy_n.
     """
-    xs, ys = _derivatives(delta.value.n)
-    return _closure([delta.value], xs + ys)
+    n = delta.value.n
+    return _closure([delta.value], [*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
 
 
 def x_degree_zero_closure(delta) -> tuple[int, dict[tuple[int, int], int]]:
@@ -184,4 +194,4 @@ def x_degree_zero_closure(delta) -> tuple[int, dict[tuple[int, int], int]]:
             raise InvariantError(f"Delta has a term of x-degree {m.xdeg()}, not {top}")
         by_x_part.setdefault(m.xexp, {})[Monomial(zero, m.yexp)] = c
     starts = [Polynomial(n, terms) for terms in by_x_part.values()]
-    return _closure(starts, _derivatives(n)[1])
+    return _closure(starts, list(range(1, 2 * n, 2)))

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from ghbasis import annihilator, linalg
+from ghbasis import linalg
 from ghbasis.annihilator import quotient_hilbert
 from ghbasis.delta import DeltaPolynomial, build_delta
 from ghbasis.errors import InvariantError
@@ -18,7 +18,7 @@ from ghbasis.linalg import (
     x_degree_zero_closure,
 )
 from ghbasis.partitions import Partition, hook_partition, partitions_of
-from ghbasis.poly import Monomial, apply_diff, mono_key, parse_poly
+from ghbasis.poly import Monomial, Polynomial, apply_diff, mono_key, parse_poly
 from ghbasis.zerox import enumerate_general, split_general
 
 
@@ -133,17 +133,93 @@ def test_homogeneous_family_rank_takes_exponents_past_255():
 
 
 def test_homogeneous_family_rank_rejects_a_polynomial_of_mixed_bidegree():
-    # column(x1) == column(y1^2) == -2, so without the check the rank would read 1.
+    # The blocks (1, 0) and (0, 2) are ranked apart.  Without the check,
+    # x1 + y1^2 would be a row of one of them only, and the rank of these
+    # three would read 3, not 2.
     with pytest.raises(ValueError):
-        homogeneous_family_rank([parse_poly("x1 + y1^2", 1), parse_poly("x1", 1)])
+        homogeneous_family_rank([parse_poly(text, 1) for text in ("x1 + y1^2", "x1", "y1^2")])
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(4) for b in range(4)])
 def test_column_orders_each_bidegree_as_mono_key(a, b):
     vectors = {d: [e for e in product(range(d + 1), repeat=3) if sum(e) == d] for d in (a, b)}
     monomials = [Monomial(xe, ye) for xe in vectors[a] for ye in vectors[b]]
-    assert sorted(monomials, key=column) == sorted(monomials, key=mono_key)
-    assert len({column(m) for m in monomials}) == len(monomials)
+    for base in (a + b + 1, 17):
+        assert sorted(monomials, key=lambda m: column(m, base)) == sorted(monomials, key=mono_key)
+        assert len({column(m, base) for m in monomials}) == len(monomials)
+
+
+def test_column_of_a_product_is_the_sum_of_the_columns():
+    m, r = Monomial((2, 0, 1), (0, 1, 1)), Monomial((0, 3, 1), (1, 0, 0))
+    for base in (m.mul(r).xdeg() + m.mul(r).ydeg() + 1, 17):
+        assert column(m.mul(r), base) == column(m, base) + column(r, base)
+
+
+def oracle_closure(starts, ops):
+    """The closure on Polynomials: each op a Monomial applied with apply_diff,
+    each block with its own Monomial -> column cache at base deg + 1."""
+    blocks = {}
+    queue = []
+
+    def insert(p):
+        if p.is_zero():
+            return
+        bideg = next(iter(p.terms)).bidegree()
+        elim, cols = blocks.setdefault(bideg, (Eliminator(), {}))
+        for m in p.terms.keys() - cols.keys():
+            if m.bidegree() != bideg:
+                raise ValueError(f"a term of bidegree {m.bidegree()} in the block {bideg}")
+            cols[m] = column(m, sum(bideg) + 1)
+        if elim.add({cols[m]: c for m, c in p.terms.items()}):
+            queue.append(p)
+
+    for p in starts:
+        insert(p)
+    for current in queue:
+        for op in ops:
+            insert(apply_diff(op, current))
+    table = {bideg: elim.rank for bideg, (elim, _) in blocks.items()}
+    return sum(table.values()), table
+
+
+def derivative_ops(n):
+    """([d/dx_1, ..., d/dx_n], [d/dy_1, ..., d/dy_n]) as monomial operators."""
+    zero = (0,) * n
+    units = [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
+    return [Monomial(e, zero) for e in units], [Monomial(zero, e) for e in units]
+
+
+def oracle_derivative_closure(delta):
+    xs, ys = derivative_ops(delta.value.n)
+    return oracle_closure([delta.value], xs + ys)
+
+
+def oracle_x_degree_zero_closure(delta):
+    n = delta.value.n
+    by_x_part = {}
+    for m, c in delta.value.terms.items():
+        by_x_part.setdefault(m.xexp, {})[Monomial((0,) * n, m.yexp)] = c
+    return oracle_closure([Polynomial(n, terms) for terms in by_x_part.values()],
+                          derivative_ops(n)[1])
+
+
+@pytest.mark.parametrize("mu", [mu for n in range(1, 6) for mu in partitions_of(n)]
+                         + [hook_partition(3, 2), hook_partition(2, 3)], ids=str)
+def test_closures_match_the_polynomial_oracle(mu):
+    delta = build_delta(mu)
+    assert derivative_closure(delta) == oracle_derivative_closure(delta)
+    assert x_degree_zero_closure(delta) == oracle_x_degree_zero_closure(delta)
+
+
+def test_closure_takes_exponents_past_255():
+    # The base is 1 + the largest total degree of the starts, 303 here; a
+    # fixed base of 256 would carry the digit 300 into its neighbour.
+    start = parse_poly("x1^300*y2^2 + x2^300*y1^2", 2)
+    dim, table = linalg._closure([start], [0, 1, 2, 3])
+    assert (dim, table) == oracle_closure([start], sum(derivative_ops(2), []))
+    # the start, and the 301 * 3 - 1 proper derivatives of each term, whose
+    # constants coincide
+    assert dim == 1 + 2 * (301 * 3 - 1) - 1
 
 
 def image_families(mu):
@@ -152,6 +228,12 @@ def image_families(mu):
     halves = [split_general(d) for d in enumerate_general(mu)]
     return ([apply_diff(s, delta.value) for s, _ in halves],
             [apply_diff(t, delta.value) for _, t in halves])
+
+
+@pytest.mark.parametrize("mu", [mu for n in range(1, 6) for mu in partitions_of(n)], ids=str)
+def test_family_rank_matches_the_polynomial_oracle(mu):
+    for family in image_families(mu):
+        assert homogeneous_family_rank(family) == oracle_closure(family, [])[0]
 
 
 @pytest.mark.parametrize("mu", [mu for n in range(1, 6) for mu in partitions_of(n)], ids=str)
@@ -173,36 +255,53 @@ def test_image_families_arrive_in_echelon_form(mu, monkeypatch):
 
 
 def with_reversed_columns(monkeypatch, compute):
-    """compute() in the mono_less column order, then in the reverse order."""
-    forward = compute()
+    """compute() in the mono_less column order, then in the reverse order.
 
-    def reverse(m, column=linalg.column):
-        return -column(m)
+    Every row reaches an Eliminator through Eliminator.add, so negating its
+    keys there reverses the order of every rank.  Also returns whether the
+    reversal took effect: some eliminator, taken in the order of first use,
+    ends with a different set of pivot columns.
+    """
+    add = Eliminator.add
 
-    for module in (linalg, annihilator):
-        monkeypatch.setattr(module, "column", reverse)
-    return forward, compute()
+    def run(sign):
+        used = {}
+
+        def signed_add(self, row):
+            used.setdefault(id(self), self)
+            return add(self, {sign * c: v for c, v in row.items()})
+
+        monkeypatch.setattr(Eliminator, "add", signed_add)
+        result = compute()
+        return result, [{sign * c for c in elim.pivots} for elim in used.values()]
+
+    (forward, forward_pivots), (reverse, reverse_pivots) = run(1), run(-1)
+    return forward, reverse, forward_pivots != reverse_pivots
 
 
 @pytest.mark.parametrize("mu", [mu for n in range(1, 6) for mu in partitions_of(n)], ids=str)
 def test_closures_do_not_depend_on_the_column_order(mu, monkeypatch):
     delta = build_delta(mu)
-    forward, reverse = with_reversed_columns(
+    forward, reverse, moved = with_reversed_columns(
         monkeypatch, lambda: (derivative_closure(delta), x_degree_zero_closure(delta)))
     assert forward == reverse
+    assert moved == (mu.n > 1)
 
 
 @pytest.mark.parametrize("K,L", [(K, n - 1 - K) for n in range(1, 6) for K in range(n)])
 def test_cross_image_rank_does_not_depend_on_the_column_order(K, L, monkeypatch):
     images = cross_images(enumerate_drawings(K, L), build_delta(hook_partition(K, L)))
-    forward, reverse = with_reversed_columns(monkeypatch, lambda: homogeneous_family_rank(images))
+    forward, reverse, moved = with_reversed_columns(
+        monkeypatch, lambda: homogeneous_family_rank(images))
     assert forward == reverse
+    assert moved == (K + L > 0)
 
 
 @pytest.mark.parametrize("K,L", [(K, n - 1 - K) for n in range(1, 5) for K in range(n)])
 def test_quotient_does_not_depend_on_the_column_order(K, L, monkeypatch):
-    forward, reverse = with_reversed_columns(monkeypatch, lambda: quotient_hilbert(K, L))
+    forward, reverse, moved = with_reversed_columns(monkeypatch, lambda: quotient_hilbert(K, L))
     assert forward == reverse
+    assert moved == (K + L > 0)
 
 
 def full_reduction_eliminate(row, pivots):
