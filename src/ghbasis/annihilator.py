@@ -50,7 +50,7 @@ from itertools import chain, combinations, combinations_with_replacement, produc
 from math import comb
 from operator import add
 
-from .delta import DeltaPolynomial, build_delta, diff_delta_poly, perm_sign
+from .delta import DeltaPolynomial, diff_delta_poly, perm_sign
 from .errors import InvariantError, RewriteDefectError, SizeLimitError
 from .hooks import HookDrawing, enumerate_drawings, split
 from .linalg import Eliminator, column
@@ -505,7 +505,9 @@ def normal_form(op: Monomial, K: int, L: int,
                 validate: bool = False) -> dict[HookDrawing, int]:
     """Express op(d) Delta = sum c_D dD Delta over drawings, exactly.
 
-    The rewriting walks a depth-first stack from op.  classify_diagram
+    An operator above Delta's bidegree has normal form 0 at once: no drawing
+    lies above it and every rewrite keeps the bidegree.  Any other operator
+    is rewritten along a depth-first stack from op.  classify_diagram
     decides each monomial not yet in the hook's memo once: a null operator
     has normal form 0, the S half of a drawing is its own normal form, and
     any other monomial is rewritten by reduce_step.  A rewritten monomial's
@@ -524,11 +526,14 @@ def normal_form(op: Monomial, K: int, L: int,
     mu = hook_partition(K, L)
     if op.n != mu.n:
         raise ValueError(f"operator ambient {op.n} != n = {mu.n}")
-    if delta is not None and delta.mu != mu:
+    if delta is None:
+        delta = DeltaPolynomial(mu)
+    elif delta.mu != mu:
         raise ValueError(f"Delta of {delta.mu} given for the hook {mu}")
+    bx, by = delta.bidegree
     memo = _rewriter(K, L)
     rewrites: dict[Monomial, list[tuple[int, Monomial]]] = {}
-    stack = [op]
+    stack = [op] if op.xdeg() <= bx and op.ydeg() <= by else []
     while stack:
         m = stack[-1]
         if m in memo:
@@ -554,12 +559,9 @@ def normal_form(op: Monomial, K: int, L: int,
                     combined.pop(sm, None)
         memo[m] = combined
         stack.pop()
-    nf = memo[op]
-    if validate:
-        if delta is None:
-            delta = build_delta(mu)
-        if not annihilates(Polynomial(op.n, nf) - Polynomial.monomial(op), delta):
-            raise RewriteDefectError(f"normal form of {op} fails the oracle")
+    nf = memo.get(op, {})  # {} for an op above the box, which was never pushed
+    if validate and not annihilates(Polynomial(op.n, nf) - Polynomial.monomial(op), delta):
+        raise RewriteDefectError(f"normal form of {op} fails the oracle")
     index = _s_index(K, L)
     return {index[sm]: c for sm, c in nf.items()}
 

@@ -117,7 +117,7 @@ class HookContext:
     @cached_property
     def cross_images(self):
         """The image of Delta under each drawing's cross operator (A2, sons)."""
-        return cross_images(self.drawings, self.delta)
+        return cross_images(self.drawings)
 
     @cached_property
     def son_edges(self) -> dict[int, list[int]]:

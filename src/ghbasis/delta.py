@@ -15,51 +15,58 @@ the rows that m touches first, since only they can run out of columns, and
 then deals the free columns to the other rows.  The row choices are
 tabulated once per partition and (a, b).  The biexponents are distinct, so
 distinct permutations give distinct monomials and nothing cancels inside
-one d^m.  :func:`build_delta` is the case m = 1, where every permutation
-survives.  poly.apply_diff, which walks every term, is the test oracle.
+one d^m.  poly.apply_diff, which walks every term, is the test oracle.
+Delta is fixed by mu, so :class:`DeltaPolynomial` holds mu alone and expands
+its ``value``, the case m = 1, on first read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import perm
 from operator import itemgetter
 
 from .errors import SizeLimitError
 from .partitions import Partition, biexponents, conjugate, n_stat
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, unit_monomial
 
 DEFAULT_LIMIT = 9
 
 
 @dataclass(frozen=True)
 class DeltaPolynomial:
-    value: Polynomial
+    """Delta_mu, named by mu alone; bidegree and value are derived on first read."""
+
     mu: Partition
-    bidegree: tuple[int, int]  # (n(mu), n(mu'))
 
     @property
     def n(self) -> int:
         return self.mu.n
 
+    @cached_property
+    def bidegree(self) -> tuple[int, int]:  # (n(mu), n(mu'))
+        return (n_stat(self.mu), n_stat(conjugate(self.mu)))
+
+    @cached_property
+    def value(self) -> Polynomial:
+        """Delta_mu as d^1 Delta_mu: every permutation survives the unit operator.
+
+        The term of sigma is sgn(sigma) prod_i x_i^{p_sigma(i)} y_i^{q_sigma(i)},
+        so the identity permutation is positive; downstream checks are
+        insensitive to the global sign.  The terms come in the lexicographic
+        order of sigma, and each has coefficient +-1: Delta has exactly n! terms.
+        """
+        return Polynomial(self.n, _expand(self.mu.parts, unit_monomial(self.n), 1))
+
 
 def build_delta(mu: Partition, limit: int = DEFAULT_LIMIT) -> DeltaPolynomial:
-    """Delta_mu as d^1 Delta_mu: every permutation survives the unit operator.
-
-    The term of sigma is sgn(sigma) prod_i x_i^{p_sigma(i)} y_i^{q_sigma(i)},
-    so the identity permutation is positive; downstream checks are
-    insensitive to the global sign.  The terms come in the lexicographic
-    order of sigma, and each has coefficient +-1: Delta has exactly n! terms.
-    """
-    n = mu.n
-    if n > limit:
-        raise SizeLimitError(f"n = {n} exceeds the determinant size limit {limit}")
-    unit = Monomial((0,) * n, (0,) * n)
-    value = Polynomial(n, _expand(mu.parts, unit, 1))
-    return DeltaPolynomial(value=value, mu=mu, bidegree=(n_stat(mu), n_stat(conjugate(mu))))
+    """Delta_mu, once n is within the determinant size limit."""
+    if mu.n > limit:
+        raise SizeLimitError(f"n = {mu.n} exceeds the determinant size limit {limit}")
+    return DeltaPolynomial(mu)
 
 
 def diff_delta(op: Monomial, delta: DeltaPolynomial) -> Polynomial:
@@ -196,19 +203,12 @@ def _expand(parts: tuple[int, ...], op: Monomial, scale: int) -> dict[Monomial, 
 
 
 def perm_sign(sigma: Sequence[int]) -> int:
-    """The sign of the permutation k -> sigma[k] of range(len(sigma)): -1 for
-    each cycle of even length."""
-    seen = [False] * len(sigma)
+    """The sign of the permutation k -> sigma[k] of range(len(sigma)): each
+    swap that sends an entry to its own place flips it."""
+    sigma = list(sigma)
     sign = 1
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
+    for i in range(len(sigma)):
+        while (j := sigma[i]) != i:
+            sigma[i], sigma[j] = sigma[j], j
             sign = -sign
     return sign

@@ -20,6 +20,7 @@ Each rule is stated once: `is_valid_drawing` is the rule, with the y-column
 rule in `_y_choices`, and `_shapes` is the one source of shapes.
 `enumerate_drawings` applies the rules constructively, shape by shape, and
 `reconstruct` searches the shapes for the one drawing the rules accept.
+`is_son` and `cross_images` differentiate Delta of the drawings' own hook.
 """
 
 from __future__ import annotations
@@ -216,31 +217,30 @@ def reconstruct(part: Monomial, from_s: bool, K: int, L: int) -> HookDrawing:
     return found[0]
 
 
-def _require_hook_delta(drawings, delta: DeltaPolynomial) -> None:
-    """Raise ValueError unless delta is Delta of the hook of every drawing's
-    shape: K y-places and L x-places make the hook (K+1, 1^L)."""
-    for K, L in {(d.shape.kinds.count("y"), d.shape.kinds.count("x")) for d in drawings}:
-        if delta.mu != (mu := hook_partition(K, L)):
-            raise ValueError(f"Delta of {delta.mu} given for drawings of the hook {mu}")
+def _hook_delta(drawings) -> DeltaPolynomial:
+    """Delta of the drawings' hook: K y-places and L x-places make the hook
+    (K+1, 1^L).  Drawings of two hooks raise ValueError."""
+    hooks = {hook_partition(d.shape.kinds.count("y"), d.shape.kinds.count("x")) for d in drawings}
+    if len(hooks) != 1:
+        raise ValueError(f"drawings of {len(hooks)} hooks given; one hook is needed")
+    return DeltaPolynomial(hooks.pop())
 
 
-def is_son(parent: HookDrawing, candidate: HookDrawing, delta: DeltaPolynomial) -> bool:
+def is_son(parent: HookDrawing, candidate: HookDrawing) -> bool:
     """True iff applying the candidate's crosses then the parent's whites to
     Delta leaves a nonzero constant: the definition of a son (see son_edges).
-    A Delta of another hook raises ValueError."""
+    Drawings of two hooks raise ValueError."""
     if parent == candidate:
         raise ValueError("son relation requires two different drawings")
-    _require_hook_delta((parent, candidate), delta)
-    image = diff_delta(split(candidate)[0], delta)
+    image = diff_delta(split(candidate)[0], _hook_delta((parent, candidate)))
     image = apply_diff(split(parent)[1], image)
     return image.is_constant() and not image.is_zero()
 
 
-def cross_images(drawings: list[HookDrawing], delta: DeltaPolynomial) -> list[Polynomial]:
-    """The image of Delta under each drawing's cross operator, in drawing order.
-
-    A Delta of another hook than the drawings' raises ValueError."""
-    _require_hook_delta(drawings, delta)
+def cross_images(drawings: list[HookDrawing]) -> list[Polynomial]:
+    """The image of Delta under each drawing's cross operator, in drawing
+    order.  Drawings of two hooks raise ValueError."""
+    delta = _hook_delta(drawings) if drawings else None
     return [diff_delta(split(d)[0], delta) for d in drawings]
 
 
@@ -267,9 +267,11 @@ def son_edges(drawings: list[HookDrawing], images: list[Polynomial]) -> dict[int
 def descendant_graph(K: int, L: int, delta: DeltaPolynomial,
                      limit: int = DEFAULT_LIMIT) -> tuple[list[HookDrawing], dict[int, list[int]], bool]:
     """(drawings, son edges by index, acyclic flag); a Delta of another
-    partition than hook_partition(K, L) raises ValueError, in cross_images."""
+    partition than hook_partition(K, L) raises ValueError."""
+    if delta.mu != (mu := hook_partition(K, L)):
+        raise ValueError(f"Delta of {delta.mu} given for the hook {mu}")
     drawings = enumerate_drawings(K, L, limit=limit)
-    edges = son_edges(drawings, cross_images(drawings, delta))
+    edges = son_edges(drawings, cross_images(drawings))
     return drawings, edges, is_acyclic(edges)
 
 

@@ -273,28 +273,24 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch in "+-*^":
+        elif ch in "+-*^":
             tokens.append((ch, ch, i))
             i += 1
-            continue
-        if ch.isdigit():
-            j = i
+        elif ch.isdigit() or ch in "xy":
+            # an integer, or a variable and its index: a run of digits either way
+            start = j = i if ch.isdigit() else i + 1
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch in "xy":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
+            if j == start:
                 raise PolynomialSyntaxError(f"variable {ch!r} needs an index", i)
-            tokens.append(("var", (ch, int(text[i + 1:j])), i))
+            try:
+                value = int(text[start:j])
+            except ValueError:  # past int()'s digit limit, or a superscript digit
+                raise PolynomialSyntaxError(f"unreadable integer of {j - start} digits", i) from None
+            tokens.append(("int", value, i) if start == i else ("var", (ch, value), i))
             i = j
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+        else:
+            raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
     return tokens
 
 
@@ -304,19 +300,15 @@ def parse_poly(text: str, n: int | None = None) -> Polynomial:
     if not tokens:
         raise PolynomialSyntaxError("empty polynomial text", 0)
 
-    max_index = 1
-    for kind, value, _ in tokens:
-        if kind == "var":
-            max_index = max(max_index, value[1])
+    max_index = max((value[1] for kind, value, _ in tokens if kind == "var"), default=1)
     ambient = n if n is not None else max_index
     if max_index > ambient:
         raise PolynomialSyntaxError(f"variable index {max_index} exceeds ambient n={ambient}", 0)
 
     # split on top-level +/- into signed terms
     pos = 0
-    total = Polynomial.zero(ambient)
+    terms: dict[Monomial, int] = {}
     sign = 1
-    first = True
     while pos < len(tokens):
         kind, value, where = tokens[pos]
         if kind in "+-":
@@ -324,9 +316,8 @@ def parse_poly(text: str, n: int | None = None) -> Polynomial:
             pos += 1
             if pos >= len(tokens):
                 raise PolynomialSyntaxError("dangling sign", where)
-        elif not first:
+        elif pos:  # only the first term may come without a sign
             raise PolynomialSyntaxError("expected '+' or '-' between terms", where)
-        first = False
         coeff = sign
         xe = [0] * ambient
         ye = [0] * ambient
@@ -370,9 +361,12 @@ def parse_poly(text: str, n: int | None = None) -> Polynomial:
             saw_factor = True
         if not saw_factor:
             raise PolynomialSyntaxError("empty term", tokens[pos - 1][2] if pos else 0)
-        sign = 1
-        total = total + Polynomial.monomial(Monomial(tuple(xe), tuple(ye)), 1).scale(coeff)
-    return total
+        m = Monomial(tuple(xe), tuple(ye))
+        if s := terms.get(m, 0) + coeff:
+            terms[m] = s
+        else:
+            terms.pop(m, None)
+    return Polynomial(ambient, terms)
 
 
 def format_monomial(m: Monomial) -> str:

@@ -205,13 +205,9 @@ def reconstruct_general(part: Monomial, from_s: bool, mu: Partition) -> GeneralD
     return found[0]
 
 
-def check_minimal_monomials(d: GeneralDrawing, delta: DeltaPolynomial) -> bool:
-    """True iff min(dS.Delta) = M_T and min(dT.Delta) = M_S.
-
-    delta must be Delta of d.mu; a Delta of another partition raises ValueError.
-    """
-    if delta.mu != d.mu:
-        raise ValueError(f"Delta of {delta.mu} given for a drawing of {d.mu}")
+def check_minimal_monomials(d: GeneralDrawing) -> bool:
+    """True iff min(dS.Delta) = M_T and min(dT.Delta) = M_S, for Delta of d.mu."""
+    delta = DeltaPolynomial(d.mu)
     s, t = split_general(d)
     return _minimal_monomials_ok(s, t, diff_delta(s, delta), diff_delta(t, delta))
 

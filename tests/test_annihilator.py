@@ -428,6 +428,45 @@ def test_normal_form_matches_the_worklist_oracle(K, L):
         assert got == list(normal_form_by_worklist(op, K, L, memo, s_halves).items()), op
 
 
+def box_ring(K, L, width=2):
+    """The operators above the hook's box by at most width in x- or y-degree."""
+    bx, by = L * (L + 1) // 2, K * (K + 1) // 2
+    return [op for op in annihilator.bounded_operators(K + L + 1, bx + width, by + width)
+            if op.xdeg() > bx or op.ydeg() > by]
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(4)))
+def test_normal_form_above_the_box_is_zero_like_the_worklist_oracle(K, L):
+    memo = {}
+    s_halves = {split(d)[0] for d in enumerate_drawings(K, L)}
+    for op in box_ring(K, L):
+        assert normal_form(op, K, L) == {}, op
+        assert normal_form_by_worklist(op, K, L, memo, s_halves) == {}, op
+    # Negative control: at the box's edge the two still agree, and some
+    # normal forms are not zero.
+    bx, by = L * (L + 1) // 2, K * (K + 1) // 2
+    nonzero = 0
+    for op in hook_box(K, L):
+        if op.xdeg() == bx or op.ydeg() == by:
+            got = [(split(d)[0], c) for d, c in normal_form(op, K, L).items()]
+            assert got == list(normal_form_by_worklist(op, K, L, memo, s_halves).items()), op
+            nonzero += bool(got)
+    assert nonzero
+
+
+def test_normal_form_above_the_box_rewrites_nothing(monkeypatch):
+    def no_rewrite(op, K, L):
+        raise AssertionError(f"{op} was rewritten")
+
+    monkeypatch.setattr(annihilator, "reduce_step", no_rewrite)
+    assert normal_form(mono(f"x1^{10 ** 8}", 3), 1, 1) == {}
+    assert normal_form(mono("y1*y2^2", 3), 1, 1, validate=True) == {}
+    # validate=True still applies both sides to Delta.
+    monkeypatch.setattr(annihilator, "annihilates", lambda P, delta: False)
+    with pytest.raises(RewriteDefectError, match="oracle"):
+        normal_form(mono("x1^2", 3), 1, 1, validate=True)
+
+
 def test_normal_form_stops_at_a_non_descending_rewrite(monkeypatch):
     # Every replacement term becomes the unit, the largest monomial in the
     # descent order; without the descent check x3 would get the all-white

@@ -17,6 +17,10 @@ BAD_INPUT = [
     ["hooks", "enumerate", "--k", "-1", "--l", "2"],
     ["ideal", "normal-form", "--k", "1", "--l", "1", "--op", "2*x1"],
     ["ideal", "normal-form", "--k", "1", "--l", "1", "--op", "x9"],
+    # integers past int()'s 4300-digit limit: an exponent, an index, a coefficient
+    ["ideal", "normal-form", "--k", "1", "--l", "1", "--op", "x1^" + "9" * 5000],
+    ["ideal", "normal-form", "--k", "1", "--l", "1", "--op", "x" + "9" * 5000],
+    ["ideal", "normal-form", "--k", "1", "--l", "1", "--op", "9" * 5000 + "*x1"],
 ]
 
 # Command lines that argparse rejects, with the command its error names.

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, permutations
 from math import factorial
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from ghbasis import delta as delta_module
 from ghbasis.annihilator import bounded_operators, generators
-from ghbasis.delta import build_delta, diff_delta, diff_delta_poly, perm_sign
+from ghbasis.delta import DeltaPolynomial, build_delta, diff_delta, diff_delta_poly, perm_sign
 from ghbasis.errors import SizeLimitError
+from ghbasis.linalg import derivative_closure, x_degree_zero_closure
 from ghbasis.partitions import (Partition, biexponents, conjugate, hook_partition, n_stat,
                                  partitions_of)
-from ghbasis.poly import Monomial, Polynomial, apply_diff, apply_diff_poly, parse_poly
+from ghbasis.poly import (Monomial, Polynomial, apply_diff, apply_diff_poly, format_poly,
+                          parse_poly, unit_monomial)
 
 
 def swap_variable_pair(p: Polynomial, i: int, j: int) -> Polynomial:
@@ -56,6 +59,53 @@ def test_bidegree_metadata():
 def test_size_limit():
     with pytest.raises(SizeLimitError):
         build_delta(Partition((5, 5)), limit=9)
+
+
+def test_mu_is_the_only_field():
+    assert [f.name for f in dataclasses.fields(DeltaPolynomial)] == ["mu"]
+    value = build_delta(Partition((2, 1))).value
+    with pytest.raises(TypeError):
+        DeltaPolynomial(value=value, mu=Partition((2, 1)))
+
+
+def test_deltas_of_equal_mu_are_equal_and_hash_equally():
+    a, b = build_delta(Partition((3, 1))), DeltaPolynomial(Partition((3, 1)))
+    a.value  # an expanded Delta equals one that is not expanded yet
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, build_delta(Partition((2, 2)))}) == 2
+    assert a != build_delta(Partition((2, 1, 1)))
+
+
+def test_value_is_expanded_once_on_first_read(monkeypatch):
+    calls = []
+    real = delta_module._expand
+
+    def counted(parts, op, scale):
+        calls.append(parts)
+        return real(parts, op, scale)
+
+    monkeypatch.setattr(delta_module, "_expand", counted)
+    delta = build_delta(Partition((2, 1)))
+    assert delta.bidegree == (1, 1) and not calls
+    assert delta.value is delta.value
+    assert calls == [(2, 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_value_diff_delta_and_both_closures_agree(n):
+    for mu in partitions_of(n):
+        delta = build_delta(mu)
+        assert diff_delta(unit_monomial(n), delta) == delta.value
+        dim, table = derivative_closure(delta)
+        slice_dim, slice_table = x_degree_zero_closure(delta)
+        assert dim == factorial(n), mu
+        assert slice_table == {ab: d for ab, d in table.items() if ab[0] == 0}, mu
+        assert slice_dim == sum(slice_table.values())
+
+
+def test_parse_of_the_text_of_delta_gives_delta_back():
+    value = build_delta(Partition((4, 2, 1))).value
+    assert parse_poly(format_poly(value)) == value
 
 
 @pytest.mark.parametrize("n", range(1, 7))

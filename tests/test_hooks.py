@@ -277,27 +277,24 @@ def test_full_shape_monomial_has_unit_coefficient():
 
 
 def test_is_son_examples():
-    delta = build_delta(hook_partition(1, 1))
     drawings = enumerate_drawings(1, 1)
     parent = next(d for d in drawings if d.shape.kinds == ("y", "x") and d.crosses == (1, 0))
     candidate = next(d for d in drawings if d.shape.kinds == ("x", "y") and d.crosses == (0, 1))
-    assert not is_son(parent, candidate, delta)
+    assert not is_son(parent, candidate)
     with pytest.raises(ValueError):
-        is_son(parent, parent, delta)
+        is_son(parent, parent)
     # exhaustive: no son edges at all for n = 3
-    count = sum(is_son(a, b, delta) for a in drawings for b in drawings if a != b)
+    count = sum(is_son(a, b) for a in drawings for b in drawings if a != b)
     assert count == 0
 
 
-def test_cross_images_reject_a_delta_of_another_hook():
+def test_drawings_of_two_hooks_have_no_common_delta():
+    # The hooks (2,1) and (3) both have n = 3, so only the hook check catches it.
+    ours, other = enumerate_drawings(1, 1)[0], enumerate_drawings(2, 0)[0]
     with pytest.raises(ValueError):
-        cross_images(enumerate_drawings(1, 1), build_delta(Partition((3,))))
-
-
-def test_is_son_rejects_a_delta_of_another_hook():
-    parent, candidate = enumerate_drawings(1, 1)[:2]
+        is_son(ours, other)
     with pytest.raises(ValueError):
-        is_son(parent, candidate, build_delta(Partition((3,))))
+        cross_images([ours, other])
 
 
 def test_descendant_graph_rejects_a_delta_of_another_partition():
@@ -327,7 +324,7 @@ def test_flip_son_duality(K, L):
     delta = build_delta(hook_partition(K, L))
     drawings, edges, _ = descendant_graph(K, L, delta)
     assert drawings == enumerate_drawings(K, L)
-    sons = {(a, b) for a in drawings for b in drawings if a != b and is_son(a, b, delta)}
+    sons = {(a, b) for a in drawings for b in drawings if a != b and is_son(a, b)}
     assert {(drawings[i], drawings[j]) for i, js in edges.items() for j in js} == sons
     for a in drawings:
         for b in drawings:
@@ -351,7 +348,7 @@ def test_support_rule_needs_distinct_drawings():
     # cross image, so only the i != j exclusion keeps self-loops out.
     for K, L in hooks_up_to(4):
         drawings = enumerate_drawings(K, L)
-        images = cross_images(drawings, build_delta(hook_partition(K, L)))
+        images = cross_images(drawings)
         assert all(split(d)[1] in f.terms for d, f in zip(drawings, images))
         assert all(i not in sons for i, sons in son_edges(drawings, images).items())
 

@@ -141,6 +141,7 @@ def test_parse_examples():
     assert m.yexp == (0, 1, 0, 0)
     assert parse_poly("0", 2).is_zero()
     assert parse_poly("-3*x1 + 3*x1", 2).is_zero()
+    assert parse_poly("x1 + 2*x1 - x2 + x2 + 0*y1", 2) == parse_poly("3*x1", 2)
     assert parse_poly("-3*x1^2*y3 + 2*x2", 3) == parse_poly("2*x2 - 3*x1^2*y3", 3)
 
 
@@ -154,6 +155,18 @@ def test_parse_errors_carry_position():
         parse_poly("x1 x2", 2)
     with pytest.raises(PolynomialSyntaxError):
         parse_poly("x9", 2)
+
+
+@pytest.mark.parametrize("text,position", [
+    ("x1^" + "9" * 5000, 3),  # an exponent past int()'s digit limit
+    ("x" + "9" * 5000, 0),  # a variable index
+    ("9" * 5000 + "*x1", 0),  # a coefficient
+    ("x1^\u00b2", 3),  # a superscript two is a digit, but not a decimal one
+], ids=["exponent", "index", "coefficient", "superscript"])
+def test_an_unreadable_integer_is_a_syntax_error_at_its_token(text, position):
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_poly(text, 2)
+    assert err.value.position == position
 
 
 def test_format_fixtures_round_trip():

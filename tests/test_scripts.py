@@ -50,6 +50,7 @@ def test_rewrite_trace_rewrites_the_descent_largest_monomial_first(capsys):
     ("rewrite_trace", ["--k", "1", "--l", "1", "x1 + x2"], 2),
     ("rewrite_trace", ["--k", "1", "--l", "1", "5*x3"], 2),
     ("rewrite_trace", ["--k", "4", "--l", "4", "x1"], 3),
+    ("rewrite_trace", ["--k", "1", "--l", "1", "x1^" + "9" * 5000], 2),
 ])
 def test_bad_input_gives_one_stderr_line_and_the_ghbasis_exit_code(name, argv, status, capsys):
     assert load_script(name).main(argv) == status
