@@ -7,7 +7,8 @@ of Delta alone.  For hook partitions the whole table is also computed as the
 graded quotient by the explicit ideal generators; for other partitions only
 the closure is available.  The exit status is 1 if any comparison prints
 DISAGREE, else 0; as for ghbasis, it is 2 for input that names no partition
-and 3 when a size limit is exceeded, each with one line on stderr.
+and 3 when a size limit is exceeded, each with one line on stderr.  Every n
+is checked against ghbasis's default --limit-n before any table is computed.
 
     python3 scripts/graded_tables.py 2,1
     python3 scripts/graded_tables.py 3,1 2,2 1,1,1,1
@@ -17,7 +18,7 @@ import sys
 
 from ghbasis.annihilator import quotient_hilbert
 from ghbasis.delta import build_delta
-from ghbasis.cli import EXIT_SIZE_LIMIT, EXIT_USAGE
+from ghbasis.cli import EXIT_SIZE_LIMIT, EXIT_USAGE, LIMIT_N
 from ghbasis.errors import NotAHookError, PartitionError, SizeLimitError
 from ghbasis.linalg import derivative_closure, x_degree_zero_closure
 from ghbasis.partitions import hook_params, parse_partition
@@ -46,8 +47,12 @@ def main(argv):
 
 def compare(texts):
     disagreements = 0
-    # Every argument is parsed before anything is printed.
-    for text, mu in [(text, parse_partition(text)) for text in texts]:
+    # Every argument is parsed and capped before anything is computed.
+    named = [(text, parse_partition(text)) for text in texts]
+    for _, mu in named:
+        if mu.n > LIMIT_N:
+            raise SizeLimitError(f"n = {mu.n} exceeds the cap {LIMIT_N} of the scripts")
+    for text, mu in named:
         delta = build_delta(mu)
         print(f"mu = ({text})  n = {mu.n}  n! = {factorial(mu.n)}")
         dim, table = derivative_closure(delta)

@@ -33,7 +33,10 @@ expansion walks only the permutations of Delta that survive the term
 The rewriting expresses any monomial operator modulo the ideal as an
 integer combination of drawing operators.  A non-drawing diagram is
 classified at its rightmost guilty place and rewritten through the schema
-that applies there; every emitted monomial is strictly smaller in the block
+that applies there.  Each schema is stated once, in :func:`_rule_at`: its
+condition at a place and its h-product h_k(own) h_l(other), from which
+:func:`reduce_step` builds the replacement terms of every schema in one
+loop.  Every emitted monomial is strictly smaller in the block
 descent order of :func:`ghbasis.poly.descent_key` (scan x_1..x_n, y_1..y_n;
 larger exponent at the first difference = smaller), which bounds the
 rewriting by the finite set of monomials of the fixed bidegree.  The public
@@ -355,9 +358,9 @@ def classify_diagram(op: Monomial, K: int, L: int) -> AnomalyClass:
     if op in _s_index(K, L):
         return AnomalyClass(case=CASE_VALID, place=None)
     for g in range(n, 0, -1):
-        case = _case_at(op, K, L, g)
-        if case is not None:
-            return AnomalyClass(case=case, place=g)
+        rule = _rule_at(op, K, L, g)
+        if rule is not None:
+            return AnomalyClass(case=rule[0], place=g)
     raise RewriteDefectError(
         f"no rewriting schema applies anywhere in {op}; "
         f"this contradicts the spanning argument")
@@ -373,7 +376,30 @@ def _own_first(x, y, guilty_y: bool):
     return (y, x) if guilty_y else (x, y)
 
 
-def _case_at(op: Monomial, K: int, L: int, g: int) -> str | None:
+def _rule_at(op: Monomial, K: int, L: int, g: int) -> tuple | None:
+    """The rewriting schema at place g as (case, own, k, other, partner, l),
+    or None.
+
+    The schema is h_k(own) h_l(other), over places of the alphabet of g's
+    order e and of the other alphabet, and its guilty monomial, g's variable
+    to the k times the partner's to the l, divides op.  The single-alphabet
+    schemas have l = 0, no other places and g as partner.  In order:
+
+    - crossed overflow: the h-th crossed place of its alphabet holds e = k+1
+      crosses; a column of height at most cap - h + 1 cannot carry them
+      once k + h > cap.  own is the crossed places up to g.
+    - tail overflow: e + g > n; k = e and own is 1..g.
+    - blocked pair: the partner is the first place q > g of the other
+      alphabet with e + l + g + between + [g is a y-place] > n, between
+      counting that alphabet's crossed places passed on the way.  For a
+      guilty y-place the relation has Y the places up to g plus the crossed
+      x-places up to the partner (|Y| = g + between + 1, partner included)
+      and X the places up to the partner; for a guilty x-place the x-side
+      set stops at g (|X| = g + between), which keeps the replacement
+      monomials below the guilty place in the descent order scanned
+      x-block first.  own leaves out the crossed places between: every
+      term that moves onto them is mixed.
+    """
     n = K + L + 1
     guilty_y = op.yexp[g - 1] > 0
     own, other = _own_first(op.xexp, op.yexp, guilty_y)
@@ -381,38 +407,19 @@ def _case_at(op: Monomial, K: int, L: int, g: int) -> str | None:
     if not e:
         return None
     cross, tail, blocked = _Y_CASES if guilty_y else _X_CASES
-    # h-th crossed place of its alphabet holding e = k+1 crosses: a column of
-    # height at most cap - h + 1 cannot carry them once k + h > cap.
-    cap = K if guilty_y else L
-    h = sum(1 for p in range(g) if own[p])
-    if (e - 1) + h > cap:
-        return cross
+    crossed = [p for p in range(1, g + 1) if own[p - 1]]
+    if (e - 1) + len(crossed) > (K if guilty_y else L):
+        return cross, crossed, e - 1, (), g, 0
     if e + g > n:
-        return tail
-    if _pair_partner(own, other, g, guilty_y, n) is not None:
-        return blocked
-    return None
-
-
-def _pair_partner(own: tuple[int, ...], other: tuple[int, ...], g: int,
-                  guilty_y: bool, n: int) -> int | None:
-    """Smallest admissible partner place for the paired-schema rewrite.
-
-    own and other are the exponent vectors of the guilty place's alphabet
-    and of the partner's.  For a guilty y-place the relation is h_k(Y) h_l(X)
-    with Y the places up to g plus the crossed x-places up to the partner
-    (|Y| = g + between + 1, partner included); for a guilty x-place the
-    x-side set stops at g (|X| = g + between), which is what keeps the
-    replacement monomials below the guilty place in the descent order
-    scanned x-block first.
-    """
+        return tail, range(1, g + 1), e, (), g, 0
     between = 0
     for q in range(g + 1, n + 1):
-        e = other[q - 1]
-        if not e:
+        l = other[q - 1]
+        if not l:
             continue
-        if own[g - 1] + e + g + between + int(guilty_y) > n:
-            return q
+        if e + l + g + between + guilty_y > n:
+            own_places = [*range(1, g + 1), q] if guilty_y else range(1, g + 1)
+            return blocked, own_places, e, range(1, q + 1), q, l
         between += 1
     return None
 
@@ -439,57 +446,35 @@ def reduce_step(op: Monomial, K: int, L: int) -> list[tuple[int, Monomial]]:
     """One rewriting step: op == sum of the returned (coefficient, monomial)
     pairs modulo the ideal, every monomial strictly smaller in descent order.
 
-    Each replacement term is a monomial of the schema's h-product with the
-    guilty monomial's exponents taken off, shifted onto op.
+    The schema h_k(own) h_l(other) of the guilty place (:func:`_rule_at`)
+    has the guilty monomial as one term, and the schema says it is minus
+    the others.  So each replacement term, with coefficient -1, is op with
+    the guilty monomial divided out, times another monomial of the
+    h-product; mixed terms lie in the ideal and are dropped.
     """
     cls = classify_diagram(op, K, L)
     if not cls.is_anomaly:
         raise ValueError(f"operator classifies as {cls.case}; nothing to reduce")
     n = K + L + 1
     g = cls.place
-    guilty_y = cls.case in _Y_CASES
+    _, own_places, k, other_places, partner, l = _rule_at(op, K, L, g)
+    guilty_y = op.yexp[g - 1] > 0
     own, other = _own_first(op.xexp, op.yexp, guilty_y)
-    moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (own, other) shifts
-
-    if cls.case not in (CASE_PAIR_BLOCKED_Y, CASE_PAIR_BLOCKED_X):
-        if cls.case in (CASE_CROSS_OVERFLOW_Y, CASE_CROSS_OVERFLOW_X):
-            # op is a multiple of (product over crossed places) * v_g^k; the
-            # degree-k replacement runs over the crossed places only.
-            window = tuple(p + 1 for p in range(g) if own[p])
-            k = own[g - 1] - 1
-        else:
-            window = tuple(range(1, g + 1))
-            k = own[g - 1]
-        zero = (0,) * n
-        moves = [(_drop(v, g, k), zero) for v in _h_exponents(k, window, n) if v[g - 1] != k]
-    else:
-        # Guilty y-place: h_k(Y) h_l(X) with Y up to g plus the partner and
-        # X up to the partner; the partner's full x-power masks every upward
-        # y-move behind an earlier x-difference.  Guilty x-place: the x-side
-        # set stops at g (terms reaching the partner's place would ascend),
-        # and the y-side runs up to the partner.
-        partner = _pair_partner(own, other, g, guilty_y, n)
-        if partner is None:
-            raise RewriteDefectError(f"paired schema lost its partner for {op}")
-        k = own[g - 1]
-        l = other[partner - 1]
-        own_set = tuple(range(1, g + 1)) + ((partner,) if guilty_y else ())
-        other_vs = list(_h_exponents(l, tuple(range(1, partner + 1)), n))
-        for v in _h_exponents(k, own_set, n):
-            for w in other_vs:
-                if v[g - 1] != k or w[partner - 1] != l:
-                    moves.append((_drop(v, g, k), _drop(w, partner, l)))
-
-    out: list[tuple[int, Monomial]] = []
-    for d_own, d_other in moves:
-        shifted = _shift(op, *_own_first(d_own, d_other, guilty_y))
-        if shifted is not None:
-            out.append((-1, shifted))
+    base = Monomial(*_own_first(_drop(own, g, k), _drop(other, partner, l), guilty_y))
+    other_vs = list(_h_exponents(l, other_places, n))
     key = descent_key(op)
-    for _, m in out:
-        if not descent_key(m) < key:
-            raise RewriteDefectError(
-                f"rewrite of {op} emitted non-descending monomial {m}")
+    out: list[tuple[int, Monomial]] = []
+    for v in _h_exponents(k, own_places, n):
+        for w in other_vs:
+            if v[g - 1] == k and w[partner - 1] == l:
+                continue  # the guilty monomial itself
+            m = _shift(base, *_own_first(v, w, guilty_y))
+            if m is None:
+                continue
+            if not descent_key(m) < key:
+                raise RewriteDefectError(
+                    f"rewrite of {op} emitted non-descending monomial {m}")
+            out.append((-1, m))
     return out
 
 

@@ -30,13 +30,15 @@ from .errors import (
     SizeLimitError,
 )
 from .hooks import split
-from .partitions import hook_partition, parse_partition
+from .partitions import hook_size, parse_partition
 from .poly import format_poly, format_monomial, parse_poly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
+
+LIMIT_N = 7  # the default --limit-n, and the cap on n of the scripts under scripts/
 
 
 class UsageError(ValueError):
@@ -109,7 +111,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="logged in the report; no check is randomized")
     common.add_argument("--threads", type=int, default=0,
                         help="ignored; kept so that every report logs it in params")
-    common.add_argument("--limit-n", type=int, default=7, dest="limit_n",
+    common.add_argument("--limit-n", type=int, default=LIMIT_N, dest="limit_n",
                         help="safety cap on n for enumerative commands")
 
     top = _Parser(prog="ghbasis",
@@ -156,15 +158,15 @@ def _parser() -> argparse.ArgumentParser:
 # subcommand bodies: each fills a Report
 # ---------------------------------------------------------------------------
 
-def _capped(mu, args):
-    """mu itself, once its n is checked against --limit-n."""
-    if mu.n > args.limit_n:
-        raise SizeLimitError(f"n = {mu.n} exceeds --limit-n = {args.limit_n}")
-    return mu
+def _check_n(n: int, args) -> None:
+    """Raise SizeLimitError when n exceeds --limit-n."""
+    if n > args.limit_n:
+        raise SizeLimitError(f"n = {n} exceeds --limit-n = {args.limit_n}")
 
 
 def _cmd_delta(args, report: Report) -> None:
-    mu = _capped(parse_partition(args.partition), args)
+    mu = parse_partition(args.partition)
+    _check_n(mu.n, args)
     delta = build_delta(mu, limit=args.limit_n)
     text = format_poly(delta.value)
     report.extra_lines.append(text)
@@ -186,8 +188,10 @@ _HOOK_CRITERIA = {
 
 
 def _cmd_hooks(args, report: Report) -> None:
-    """hooks and ideal subcommands: one HookContext, rows from the registry."""
-    _capped(hook_partition(args.k, args.l), args)
+    """hooks and ideal subcommands: one HookContext, rows from the registry.
+
+    n is checked against --limit-n before the hook is built."""
+    _check_n(hook_size(args.k, args.l), args)
     ctx = HookContext(args.k, args.l, limit=args.limit_n)
     if args.subcommand == "normal-form":
         _normal_form(args, ctx, report)
@@ -222,7 +226,8 @@ def _normal_form(args, ctx: HookContext, report: Report) -> None:
 
 
 def _cmd_zerox(args, report: Report) -> None:
-    mu = _capped(parse_partition(args.partition), args)
+    mu = parse_partition(args.partition)
+    _check_n(mu.n, args)
     if args.subcommand == "count":
         report.checks.extend(criterion("A8a").rows(mu, limit=args.limit_n) + corner_identity(mu))
     else:

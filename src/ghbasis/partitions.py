@@ -118,10 +118,16 @@ def hook_params(mu: Partition) -> HookParams:
     return HookParams(K=mu.parts[0] - 1, L=len(mu.parts) - 1)
 
 
-def hook_partition(K: int, L: int) -> Partition:
-    """The hook (K+1, 1^L)."""
+def hook_size(K: int, L: int) -> int:
+    """n = K + L + 1 of the hook (K+1, 1^L), read without building the hook."""
     if K < 0 or L < 0:
         raise PartitionError("hook parameters must be nonnegative")
+    return K + L + 1
+
+
+def hook_partition(K: int, L: int) -> Partition:
+    """The hook (K+1, 1^L)."""
+    hook_size(K, L)
     return Partition((K + 1,) + (1,) * L)
 
 

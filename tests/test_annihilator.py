@@ -494,6 +494,36 @@ def test_normal_form_rewrites_each_monomial_once(monkeypatch):
     assert rewritten and max(rewritten.values()) == 1
 
 
+def first_defect(K, L):
+    """The first operator of the hook's box whose validated normal form
+    raises RewriteDefectError, or None."""
+    delta = build_delta(hook_partition(K, L))
+    for op in hook_box(K, L):
+        try:
+            normal_form(op, K, L, delta=delta, validate=True)
+        except RewriteDefectError:
+            return op
+    return None
+
+
+@pytest.mark.parametrize("case", annihilator.ANOMALY_CASES)
+def test_every_rewriting_schema_is_needed(case, monkeypatch):
+    # Negative control: with one case of _rule_at skipped, some normal form
+    # at n <= 4 finds no schema, climbs, or fails the oracle.
+    rule_at = annihilator._rule_at
+
+    def skipping(op, K, L, g):
+        rule = rule_at(op, K, L, g)
+        return None if rule is not None and rule[0] == case else rule
+
+    monkeypatch.setattr(annihilator, "_rule_at", skipping)
+    annihilator._rewriter.cache_clear()
+    try:
+        assert any(first_defect(K, L) for K, L in hooks_up_to(4))
+    finally:
+        annihilator._rewriter.cache_clear()  # drop the memo of the skipping rule
+
+
 def test_quotient_hilbert_examples():
     qt = quotient_hilbert(1, 1)
     assert qt.table == {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 1}

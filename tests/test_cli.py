@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ghbasis import checks, cli
+from ghbasis import checks, cli, partitions
 from ghbasis.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE, main, run
 from ghbasis.errors import RewriteDefectError
 from ghbasis.partitions import Partition
@@ -140,6 +140,42 @@ def test_size_limit_exit_code(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["checks"] == []
     assert payload["error"] == "size limit: n = 4 (level smoke) exceeds --limit-n = 2"
+
+
+@pytest.fixture
+def no_hook_above_the_cap(monkeypatch):
+    """hook_partition raises when asked for a hook above the default cap,
+    wherever the front end reads it from, so no test allocates such a hook."""
+    real = partitions.hook_partition
+
+    def guarded(K, L):
+        if K + L + 1 > cli.LIMIT_N:
+            raise AssertionError(f"hook (K, L) = ({K}, {L}) built above the cap")
+        return real(K, L)
+
+    for module in (partitions, checks, cli):
+        monkeypatch.setattr(module, "hook_partition", guarded, raising=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hooks", "enumerate"],
+    ["hooks", "verify-dim"],
+    ["ideal", "verify"],
+    ["ideal", "normal-form", "--op", "x1"],
+])
+def test_hook_size_cap_is_checked_before_the_hook_is_built(argv, no_hook_above_the_cap, capsys):
+    big = ["--k", "1", "--l", str(10 ** 12)]
+    assert main(argv + big + ["--output", "json"]) == EXIT_SIZE_LIMIT
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        f"size limit: n = {10 ** 12 + 2} exceeds --limit-n = 7")
+    # A negative K or L is still bad input, whatever the size of the other.
+    assert main(argv + ["--k", "-1", "--l", str(10 ** 12)]) == EXIT_USAGE
+    assert main(argv + ["--k", str(10 ** 12), "--l", "-1"]) == EXIT_USAGE
+
+
+def test_limit_n_defaults_to_the_one_cap():
+    report, status = run(["hooks", "enumerate", "--k", "1", "--l", "1"])
+    assert status == EXIT_OK and report.params["limit_n"] == cli.LIMIT_N == 7
 
 
 def test_check_failed_exit_code(monkeypatch):

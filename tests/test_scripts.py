@@ -42,6 +42,42 @@ def test_rewrite_trace_rewrites_the_descent_largest_monomial_first(capsys):
     assert rewritten == ["x2^2*y4", "x2^2*y3"]
 
 
+def test_rewrite_trace_rewrites_nothing_above_the_bidegree(capsys, monkeypatch):
+    def no_rewrite(op, K, L):
+        raise AssertionError(f"{op} was rewritten")
+
+    module = load_script("rewrite_trace")
+    monkeypatch.setattr(module, "reduce_step", no_rewrite)
+    status, out = run_script("rewrite_trace", ["--k", "1", "--l", "1", "x1^5"], capsys, module)
+    assert status == 0
+    assert out.splitlines() == ["x1^5  [above Delta's bidegree (1, 1): acts as 0]",
+                                "normal form of x1^5 (0 drawing terms, oracle-checked):"]
+
+
+def refuse(*args):
+    raise AssertionError("work done above the size cap")
+
+
+def test_rewrite_trace_checks_the_cap_before_building_the_hook(capsys, monkeypatch):
+    module = load_script("rewrite_trace")
+    monkeypatch.setattr(module, "hook_partition", refuse)
+    assert module.main(["--k", "1", "--l", str(10 ** 12), "x1"]) == 3
+    assert module.main(["--k", "-1", "--l", str(10 ** 12), "x1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"rewrite_trace: size limit: n = {10 ** 12 + 2} exceeds the cap 7 of the scripts",
+                   "rewrite_trace: error: hook parameters must be nonnegative"]
+
+
+def test_graded_tables_checks_the_cap_before_any_closure(capsys, monkeypatch):
+    module = load_script("graded_tables")
+    monkeypatch.setattr(module, "derivative_closure", refuse)
+    # 2,1 is within the cap, but no table is computed while 2,2,2,2 is not.
+    assert module.main(["2,1", "2,2,2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "graded_tables: size limit: n = 8 exceeds the cap 7 of the scripts\n"
+
+
 @pytest.mark.parametrize("name,argv,status", [
     ("graded_tables", ["2,1", "2,x"], 2),
     ("graded_tables", ["5,5"], 3),
