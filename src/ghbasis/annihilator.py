@@ -57,7 +57,7 @@ from .delta import DeltaPolynomial, diff_delta_poly, perm_sign
 from .errors import InvariantError, RewriteDefectError, SizeLimitError
 from .hooks import HookDrawing, enumerate_drawings, split
 from .linalg import Eliminator, column
-from .partitions import hook_partition
+from .partitions import hook_partition, hook_size
 from .poly import Monomial, Polynomial, descent_key
 
 CASE_VALID = "valid-drawing"
@@ -508,14 +508,12 @@ def normal_form(op: Monomial, K: int, L: int,
     RewriteDefectError.  A Delta of another partition, or an operator of
     another ambient n, raises ValueError.
     """
-    mu = hook_partition(K, L)
-    if op.n != mu.n:
-        raise ValueError(f"operator ambient {op.n} != n = {mu.n}")
-    if delta is None:
-        delta = DeltaPolynomial(mu)
-    elif delta.mu != mu:
+    n = hook_size(K, L)
+    if op.n != n:
+        raise ValueError(f"operator ambient {op.n} != n = {n}")
+    if delta is not None and delta.mu != (mu := hook_partition(K, L)):
         raise ValueError(f"Delta of {delta.mu} given for the hook {mu}")
-    bx, by = delta.bidegree
+    bx, by = L * (L + 1) // 2, K * (K + 1) // 2  # (n(mu), n(mu')) of the hook
     memo = _rewriter(K, L)
     rewrites: dict[Monomial, list[tuple[int, Monomial]]] = {}
     stack = [op] if op.xdeg() <= bx and op.ydeg() <= by else []
@@ -545,7 +543,8 @@ def normal_form(op: Monomial, K: int, L: int,
         memo[m] = combined
         stack.pop()
     nf = memo.get(op, {})  # {} for an op above the box, which was never pushed
-    if validate and not annihilates(Polynomial(op.n, nf) - Polynomial.monomial(op), delta):
+    if validate and not annihilates(Polynomial(op.n, nf) - Polynomial.monomial(op),
+                                    delta or DeltaPolynomial(hook_partition(K, L))):
         raise RewriteDefectError(f"normal form of {op} fails the oracle")
     index = _s_index(K, L)
     return {index[sm]: c for sm, c in nf.items()}
@@ -640,6 +639,11 @@ def _graded_quotient_dim(standard: dict[tuple[int, int], list[Monomial]],
     Everything is packed in the base a + b + 1, above every exponent of the
     bidegree, so the column of a shift t*r is the sum of the columns of t
     and r, and the term is kept when that sum is a standard column.
+
+    Once the rank reaches the number of columns, the rows span every
+    standard monomial of (a, b): no further row can change the rank, so no
+    further row is built and the dimension is 0.  The shell, where every
+    dimension must be 0, is where this saves the most.
     """
     base = a + b + 1
     cols = {column(m, base) for m in standard[a, b]}
@@ -650,6 +654,8 @@ def _graded_quotient_dim(standard: dict[tuple[int, int], list[Monomial]],
             continue
         terms = [(column(t, base), c) for t, c in g.terms.items()]
         for r in standard[a - ga, b - gb]:
+            if elim.rank == len(cols):
+                return 0
             shift = column(r, base)
             elim.add({col: c for t, c in terms if (col := t + shift) in cols})
     return len(cols) - elim.rank

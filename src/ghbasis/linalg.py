@@ -18,13 +18,18 @@ row, a sum of columns, straight into its own :class:`Eliminator`.
 
 Rank needs only echelon form: a row is reduced until its lead (smallest
 column) is not a pivot column.  Each step clears the lead c with the pivot
-row p of c and gcd-reduced multipliers, r <- (p[c]/g) r - (r[c]/g) p with
-g = gcd(p[c], r[c]), so the arithmetic stays in Z and is exact over Q.  A
-row is divided by the gcd of its entries once, when it becomes a pivot row.
+row p of c.  When p[c] divides r[c], the step is r <- r - (r[c]/p[c]) p and
+r is not scaled.  Otherwise it takes gcd-reduced multipliers,
+r <- (p[c]/g) r - (r[c]/g) p with g = gcd(p[c], r[c]).  Either way the
+arithmetic stays in Z and is exact over Q.  Every pivot lead of the graded
+quotient is +-1, and in the derivative closures of n = 6 the pivot lead
+divides in all but 0.2% of the steps.  A row is divided by the gcd of its
+entries once, when it becomes a pivot row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
 
 from .errors import InvariantError
@@ -45,21 +50,29 @@ def column(m: Monomial, base: int) -> int:
     return -value
 
 
-def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Clear the lead of row until it is not a pivot column; echelon form only.
+def _eliminate(row: dict[int, int],
+               pivots: dict[int, dict[int, int]]) -> tuple[int, dict[int, int]]:
+    """(lead, row) with row's lead cleared until it is not a pivot column.
 
-    Every pivot row leads at its smallest column, so a step that clears
-    column c leaves only columns larger than c: the lead grows, the loop
-    ends, and the result is empty exactly when row lies in the pivots' span.
+    Echelon form only.  Every pivot row leads at its smallest column, so a
+    step that clears column c leaves only columns larger than c: the lead
+    grows, the loop ends, and the row comes back empty exactly when it lies
+    in the pivots' span.  The lead is meaningless for an empty row.  The
+    given row and the pivot rows are not modified.
     """
     while row:
         col = min(row)
         piv = pivots.get(col)
         if piv is None:
-            break
-        g = gcd(piv[col], row[col])
-        mine, theirs = piv[col] // g, row[col] // g
-        new = {c: v * mine for c, v in row.items()}
+            return col, row
+        p, r = piv[col], row[col]
+        theirs, rest = divmod(r, p)
+        if rest:
+            g = gcd(p, r)
+            mine, theirs = p // g, r // g
+            new = {c: v * mine for c, v in row.items()}
+        else:
+            new = row.copy()
         for c, v in piv.items():
             w = new.get(c, 0) - v * theirs
             if w:
@@ -67,7 +80,7 @@ def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[i
             else:
                 del new[c]
         row = new
-    return row
+    return 0, row
 
 
 class Eliminator:
@@ -84,13 +97,12 @@ class Eliminator:
         The row may be kept as a pivot row as it is, so the caller must not
         modify it afterwards.
         """
-        reduced = _eliminate(row, self.pivots)
+        lead, reduced = _eliminate(row, self.pivots)
         index = self._count
         self._count += 1
         if not reduced:
             return False
         g = gcd(*reduced.values())
-        lead = min(reduced)
         self.pivots[lead] = {c: v // g for c, v in reduced.items()} if g > 1 else reduced
         self.trail.append((index, lead))
         return True
@@ -110,7 +122,8 @@ def homogeneous_family_rank(polys: list[Polynomial]) -> int:
     return _closure(polys, [])[0]
 
 
-def _closure(starts: list[Polynomial], ops: list[int]) -> tuple[int, dict[tuple[int, int], int]]:
+def _closure(starts: list[Polynomial], ops: list[int], face_ops: Sequence[int] = (),
+             face: tuple[int, int] = (0, -1)) -> tuple[int, dict[tuple[int, int], int]]:
     """(dimension, dimensions by bidegree) of the span of starts closed under ops.
 
     Each op is a single-variable derivative, named by its digit: 2i for
@@ -126,11 +139,16 @@ def _closure(starts: list[Polynomial], ops: list[int]) -> tuple[int, dict[tuple[
     A dependent image adds nothing, since its images lie in the span of the
     images of what it depends on.  Derivatives keep a row bihomogeneous, so
     each block keeps its own elimination state; a start whose terms differ
-    in bidegree raises ValueError.
+    in bidegree raises ValueError.  A row of a block on the face, whose
+    coordinate face[0] (0 for the x-degree, 1 for the y-degree) equals
+    face[1], is offered its images under face_ops too, after those under
+    ops; :func:`derivative_closure` says when that still spans.
     """
     base = 1 + max((sum(m.xexp) + sum(m.yexp) for p in starts for m in p.terms), default=0)
     top = 2 * starts[0].n - 1 if starts else 0
-    steps = [(base ** (top - op), 1 - op % 2, op % 2) for op in ops]
+    face_steps = [(base ** (top - op), 1 - op % 2, op % 2) for op in [*ops, *face_ops]]
+    steps = face_steps[:len(ops)]
+    side, level = face
     blocks: dict[tuple[int, int], Eliminator] = {}
     queue: list[tuple[tuple[int, int], dict[int, int]]] = []
 
@@ -150,7 +168,7 @@ def _closure(starts: list[Polynomial], ops: list[int]) -> tuple[int, dict[tuple[
         if bidegs:
             insert(bidegs.pop(), {column(m, base): c for m, c in p.terms.items()})
     for (a, b), row in queue:  # the queue grows while it is read: breadth first
-        for w, dx, dy in steps:
+        for w, dx, dy in face_steps if (a, b)[side] == level else steps:
             insert((a - dx, b - dy),
                    {col + w: c * e for col, c in row.items() if (e := -col // w % base)})
     table = {bideg: elim.rank for bideg, elim in blocks.items()}
@@ -160,11 +178,25 @@ def _closure(starts: list[Polynomial], ops: list[int]) -> tuple[int, dict[tuple[
 def derivative_closure(delta) -> tuple[int, dict[tuple[int, int], int]]:
     """(dim M_mu, graded dimensions by bidegree) via breadth-first closure.
 
-    Starts from Delta and repeatedly applies the 2n single-variable
-    derivatives d/dx_1, ..., d/dx_n, d/dy_1, ..., d/dy_n.
+    M_mu is spanned by the derivatives d^m Delta, and Delta is bihomogeneous
+    of bidegree (A, B).  Call M_(a,b) its block of bidegree (a, b).  For
+    a < A every such m has an x-factor, so M_(a,b) = sum_i d/dx_i M_(a+1,b);
+    on the face a = A, M_(A,b) = sum_i d/dy_i M_(A,b+1).  So the n
+    x-derivatives are applied to every row, and the n y-derivatives only to
+    the rows of x-degree A.  With x and y exchanged the same holds, and the
+    alphabet of the smaller top degree (x when A <= B) plays the part of x:
+    on the hook (3, 2), with (A, B) = (3, 6), that offers 2407 rows against
+    2820 the other way and 4686 with all 2n derivatives on every row.
+    Bihomogeneity is checked by the closure itself: a term of Delta outside
+    the block of its first term raises ValueError.
     """
-    n = delta.value.n
-    return _closure([delta.value], [*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    value = delta.value
+    n = value.n
+    xs, ys = list(range(0, 2 * n, 2)), list(range(1, 2 * n, 2))
+    top_x, top_y = next(iter(value.terms)).bidegree()
+    if top_x <= top_y:
+        return _closure([value], xs, ys, face=(0, top_x))
+    return _closure([value], ys, xs, face=(1, top_y))
 
 
 def x_degree_zero_closure(delta) -> tuple[int, dict[tuple[int, int], int]]:

@@ -163,6 +163,21 @@ def test_normal_form_rejects_a_delta_of_another_partition():
         normal_form(mono("x3", 3), 1, 1, delta=build_delta(Partition((3,))), validate=True)
     with pytest.raises(ValueError):
         normal_form(mono("x1*y1", 2), 1, 1)
+    with pytest.raises(ValueError):
+        normal_form(mono("x1*y1", 2), -1, 2)
+
+
+def test_normal_form_builds_no_partition_without_a_delta(monkeypatch):
+    # n and Delta's bidegree are read from (K, L); only a given Delta's mu is
+    # compared with a built hook.
+    op = mono("x2*y3", 3)
+    expected = normal_form(op, 1, 1, validate=True)  # fills the hook's memo
+    built = []
+    check = Partition.__post_init__
+    monkeypatch.setattr(Partition, "__post_init__", lambda self: built.append(self) or check(self))
+    assert normal_form(op, 1, 1) == expected
+    assert normal_form(mono("x1^2*y2", 3), 1, 1) == {}  # above Delta's bidegree (1, 1)
+    assert built == []
 
 
 def test_proposition_instances_reject_another_n():

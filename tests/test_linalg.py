@@ -1,11 +1,15 @@
+import inspect
+import random
+import textwrap
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import count, product
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ghbasis import linalg
+from ghbasis import annihilator, linalg
 from ghbasis.annihilator import quotient_hilbert
 from ghbasis.delta import build_delta
 from ghbasis.errors import InvariantError
@@ -57,6 +61,79 @@ def fraction_rank(rows):
     st.lists(st.integers(-3, 3), min_size=width, max_size=width), min_size=1, max_size=7)))
 def test_rank_matches_fraction_gaussian_elimination(rows):
     assert rank(rows) == fraction_rank(rows)
+
+
+def mutated(func, old, new, **names):
+    """func recompiled in its module's namespace, plus names, with the one
+    occurrence of the source text old replaced by new: a mutant of the code
+    under test, which a test must catch."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{old!r} is not in {func.__name__} exactly once"
+    namespace = {**vars(inspect.getmodule(func)), **names}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    return namespace[func.__name__]
+
+
+def seeded_matrices(seeds=range(200)):
+    """Integer matrices whose leads are often not units: random rows with
+    entries in [-6, 6], then integer combinations of them, shuffled."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        width, free = rng.randint(2, 7), rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(width)] for _ in range(free)]
+        rows += [[sum(f * v for f, v in zip(factors, col)) for col in zip(*rows)]
+                 for factors in ([rng.randint(-3, 3) for _ in rows]
+                                 for _ in range(rng.randint(1, 4)))]
+        rng.shuffle(rows)
+        yield rows
+
+
+def test_rank_matches_fractions_on_seeded_matrices(monkeypatch):
+    steps = []  # (quotient, remainder) of the leads at each elimination step
+
+    def spy(a, b):
+        steps.append(divmod(a, b))
+        return steps[-1]
+
+    monkeypatch.setattr(linalg, "divmod", spy, raising=False)
+    ranks = [(rank(rows), fraction_rank(rows), len(rows)) for rows in seeded_matrices()]
+    assert all(mine == oracle for mine, oracle, _ in ranks)
+    assert any(oracle < height for _, oracle, height in ranks)  # dependent rows do occur
+    # both kinds of step occur, and the divisible one with quotients other than +-1
+    assert any(rest for _, rest in steps)
+    assert any(not rest and abs(q) > 1 for q, rest in steps)
+
+
+class Cycling(Exception):
+    pass
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_rank_on_seeded_matrices_catches_a_divisible_step_off_by_one(shift, monkeypatch):
+    # The mutant subtracts q + shift copies of the pivot where q copies clear
+    # the lead.  That leaves the lead -shift times the pivot's, whose own
+    # quotient -shift the mutant turns into a zero multiple: the row then
+    # either stays as it is, so the mutant's min gives up after a bounded
+    # number of calls, or loses a column it lacks (KeyError).
+    calls = count()
+
+    def bounded_min(*args, **kwargs):
+        if next(calls) > 10 ** 5:
+            raise Cycling
+        return min(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_eliminate", mutated(
+        linalg._eliminate, "theirs, rest = divmod(r, p)",
+        "theirs, rest = divmod(r, p); theirs += SHIFT",
+        SHIFT=shift, min=bounded_min))
+
+    def caught(rows):
+        try:
+            return rank(rows) != fraction_rank(rows)
+        except (Cycling, KeyError):
+            return True
+
+    assert any(caught(rows) for rows in seeded_matrices())
 
 
 def test_rank_of_derived_polynomial_family():
@@ -203,12 +280,74 @@ def oracle_x_degree_zero_closure(delta):
                           derivative_ops(n)[1])
 
 
+@lru_cache(maxsize=None)
+def oracle_closure_of(mu):
+    return oracle_derivative_closure(build_delta(mu))
+
+
 @pytest.mark.parametrize("mu", [mu for n in range(1, 6) for mu in partitions_of(n)]
                          + [hook_partition(3, 2), hook_partition(2, 3)], ids=str)
 def test_closures_match_the_polynomial_oracle(mu):
     delta = build_delta(mu)
-    assert derivative_closure(delta) == oracle_derivative_closure(delta)
+    assert derivative_closure(delta) == oracle_closure_of(mu)
     assert x_degree_zero_closure(delta) == oracle_x_degree_zero_closure(delta)
+
+
+def wrong_face(rule):
+    """derivative_closure's call of _closure, with its face rule changed."""
+    closure = linalg._closure
+
+    def wrapped(starts, ops, face_ops=(), face=(0, -1)):
+        return closure(starts, ops, *rule(face_ops, face))
+    return wrapped
+
+
+@pytest.mark.parametrize("rule", [
+    lambda face_ops, face: ((), face),  # face rows restricted to the inner alphabet too
+    lambda face_ops, face: (face_ops, (face[0], 0)),  # the face at degree 0, not at the top
+], ids=["no-face-ops", "face-at-zero"])
+def test_closures_catch_a_wrong_face_rule(rule, monkeypatch):
+    monkeypatch.setattr(linalg, "_closure", wrong_face(rule))
+    assert any(derivative_closure(build_delta(mu)) != oracle_closure_of(mu)
+               for n in range(1, 6) for mu in partitions_of(n))
+
+
+def rows_offered(monkeypatch, compute):
+    """compute() and the number of rows it hands to Eliminator.add."""
+    offered = count()
+    add = Eliminator.add
+
+    def counting_add(self, row):
+        next(offered)
+        return add(self, row)
+
+    monkeypatch.setattr(Eliminator, "add", counting_add)
+    return compute(), next(offered)
+
+
+@pytest.mark.parametrize("K,L", [(3, 2), (2, 3)])
+def test_closure_offers_the_face_rule_count(K, L, monkeypatch):
+    # All 2n derivatives of every row offered 4686 (3,2) and 4683 (2,3) rows.
+    delta = build_delta(hook_partition(K, L))
+    (dim, _), offered = rows_offered(monkeypatch, lambda: derivative_closure(delta))
+    assert dim == 720
+    assert offered == 2407
+
+
+def test_quotient_offers_no_row_past_full_rank(monkeypatch):
+    # Without the stop at full rank, quotient_hilbert(2, 2) offered 6308 rows.
+    qt, offered = rows_offered(monkeypatch, lambda: quotient_hilbert(2, 2))
+    assert qt.total == 120
+    assert offered == 4278
+
+
+def test_quotient_catches_a_stop_one_row_early(monkeypatch):
+    monkeypatch.setattr(annihilator, "_graded_quotient_dim", mutated(
+        annihilator._graded_quotient_dim,
+        "if elim.rank == len(cols):", "if elim.rank == len(cols) - 1:"))
+    hooks = [(K, n - 1 - K) for n in range(1, 5) for K in range(n)]
+    assert any(quotient_hilbert(K, L).table
+               != derivative_closure(build_delta(hook_partition(K, L)))[1] for K, L in hooks)
 
 
 def test_closure_takes_exponents_past_255():
@@ -243,9 +382,9 @@ def test_image_families_arrive_in_echelon_form(mu, monkeypatch):
     stepped = []
 
     def spy(row, pivots):
-        out = eliminate(row, pivots)
+        lead, out = eliminate(row, pivots)
         stepped.append(out != row)
-        return out
+        return lead, out
 
     eliminate = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate", spy)
@@ -315,7 +454,7 @@ def full_reduction_eliminate(row, pivots):
     while True:
         col = min((c for c in row if c in pivots), default=None)
         if col is None:
-            return row
+            return min(row, default=0), row
         piv = pivots[col]
         lead, mine = piv[col], row[col]
         scaled = {c: v * lead for c, v in row.items()}
