@@ -10,11 +10,15 @@ the sum of their columns, and d/dx_i or d/dy_i reads one digit: it scales a
 term by that digit e and moves it one unit of the digit's weight up, or
 drops it when e = 0.
 
-Every rank of a polynomial family runs through :func:`_closure`, which
-converts its starting polynomials to rows once and differentiates rows from
-then on.  The one exception is the graded quotient
-(annihilator._graded_quotient_dim): it streams each generator-times-monomial
-row, a sum of columns, straight into its own :class:`Eliminator`.
+A polynomial becomes a row in one place, :func:`pack`, which reads each
+term once and returns the row with its bidegree; no rank reads a
+Polynomial after that.  :func:`packed_rank` ranks packed rows block by
+block: :func:`homogeneous_family_rank` packs a family for it, and
+zerox.verify_zero_x_degree_basis packs each drawing image as soon as it is
+made.  :func:`_closure` packs its starting polynomials and differentiates
+rows from then on.  The graded quotient (annihilator._graded_quotient_dim)
+makes no Polynomial: it streams each generator-times-monomial row, a sum of
+columns, straight into its own :class:`Eliminator`.
 
 Rank needs only echelon form: a row is reduced until its lead (smallest
 column) is not a pivot column.  Each step clears the lead c with the pivot
@@ -29,8 +33,12 @@ entries once, when it becomes a pivot row.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import defaultdict
+from collections.abc import Iterable, Sequence
+from functools import lru_cache
+from itertools import islice
 from math import gcd
+from operator import mul
 
 from .errors import InvariantError
 from .poly import Monomial, Polynomial
@@ -48,6 +56,45 @@ def column(m: Monomial, base: int) -> int:
     for a, b in zip(m.xexp, m.yexp):
         value = (value * base + a) * base + b
     return -value
+
+
+@lru_cache(maxsize=None)
+def _weights(base: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The weights of the digits x_1..x_n and of y_1..y_n in a column."""
+    return (tuple(base ** k for k in range(2 * n - 1, 0, -2)),
+            tuple(base ** k for k in range(2 * n - 2, -1, -2)))
+
+
+def pack(p: Polynomial, base: int) -> tuple[tuple[int, int] | None, dict[int, int]]:
+    """(bidegree, row) of a bihomogeneous polynomial, its terms read once.
+
+    The row maps the :func:`column` of each term, here a sum of digit
+    weights, to its coefficient; the zero polynomial gives (None, {}).
+    Terms share exponent tuples (the expansions of delta.py share them
+    within one image), so each distinct x-part and y-part is weighed, and
+    its degree taken, once.  A polynomial whose terms differ in bidegree
+    raises ValueError.
+    """
+    if not p.terms:
+        return None, {}
+    wx, wy = _weights(base, p.n)
+    xs: dict[tuple[int, ...], int] = {}
+    ys: dict[tuple[int, ...], int] = {}
+    row = {}
+    for (xe, ye), c in p.terms.items():
+        v = xs.get(xe)
+        if v is None:
+            v = xs[xe] = sum(map(mul, xe, wx))
+        w = ys.get(ye)
+        if w is None:
+            w = ys[ye] = sum(map(mul, ye, wy))
+        row[-v - w] = c
+    xdegs = {sum(xe) for xe in xs}
+    ydegs = {sum(ye) for ye in ys}
+    if len(xdegs) > 1 or len(ydegs) > 1:
+        raise ValueError(f"a polynomial of x-degrees {sorted(xdegs)} and y-degrees "
+                         f"{sorted(ydegs)}, not one block")
+    return (xdegs.pop(), ydegs.pop()), row
 
 
 def _eliminate(row: dict[int, int],
@@ -119,7 +166,28 @@ class Eliminator:
 def homogeneous_family_rank(polys: list[Polynomial]) -> int:
     """Rank of a family of bihomogeneous polynomials: the sum of the ranks
     of its bidegree blocks.  A polynomial of mixed bidegree raises ValueError."""
-    return _closure(polys, [])[0]
+    base = _family_base(polys)
+    return packed_rank(pack(p, base) for p in polys)
+
+
+def packed_rank(rows: Iterable[tuple[tuple[int, int] | None, dict[int, int]]]) -> int:
+    """Rank of packed rows, each a (bidegree, row) pair of :func:`pack`: the
+    sum of the ranks of their bidegree blocks, one Eliminator each.  All
+    rows must be packed at one base; a row may be kept as a pivot row."""
+    blocks: defaultdict[tuple[int, int], Eliminator] = defaultdict(Eliminator)
+    for bideg, row in rows:
+        if row:
+            blocks[bideg].add(row)
+    return sum(elim.rank for elim in blocks.values())
+
+
+def _family_base(polys: list[Polynomial]) -> int:
+    """1 + the largest total degree of a family of bihomogeneous polynomials,
+    read from one term of each: every exponent of the family and of its
+    derivatives lies below it.  :func:`pack` rejects a polynomial whose
+    other terms differ in bidegree, so no term goes unchecked."""
+    return 1 + max((sum(m.xexp) + sum(m.yexp) for p in polys for m in islice(p.terms, 1)),
+                   default=0)
 
 
 def _closure(starts: list[Polynomial], ops: list[int], face_ops: Sequence[int] = (),
@@ -127,12 +195,11 @@ def _closure(starts: list[Polynomial], ops: list[int], face_ops: Sequence[int] =
     """(dimension, dimensions by bidegree) of the span of starts closed under ops.
 
     Each op is a single-variable derivative, named by its digit: 2i for
-    d/dx_{i+1} and 2i+1 for d/dy_{i+1}.  The base is 1 + the largest total
-    degree of the starts, which no exponent of a start or a derivative
-    reaches.  Each start becomes a row once; from then on a derivative works
-    on the row: a term at column col, with v = -col, has the digit
-    e = (v // w) % base at the op's weight w, so it goes to col + w with
-    its coefficient times e, or vanishes when e = 0.
+    d/dx_{i+1} and 2i+1 for d/dy_{i+1}.  The base is that of
+    :func:`_family_base`.  Each start is packed once; from then on a
+    derivative works on the row: a term at column col, with v = -col, has
+    the digit e = (v // w) % base at the op's weight w, so it goes to
+    col + w with its coefficient times e, or vanishes when e = 0.
 
     Breadth first: each start, then each image of a queued row under each
     op in order, is kept only if it enlarges the span of its bidegree block.
@@ -144,29 +211,20 @@ def _closure(starts: list[Polynomial], ops: list[int], face_ops: Sequence[int] =
     face[1], is offered its images under face_ops too, after those under
     ops; :func:`derivative_closure` says when that still spans.
     """
-    base = 1 + max((sum(m.xexp) + sum(m.yexp) for p in starts for m in p.terms), default=0)
+    base = _family_base(starts)
     top = 2 * starts[0].n - 1 if starts else 0
     face_steps = [(base ** (top - op), 1 - op % 2, op % 2) for op in [*ops, *face_ops]]
     steps = face_steps[:len(ops)]
     side, level = face
-    blocks: dict[tuple[int, int], Eliminator] = {}
+    blocks: defaultdict[tuple[int, int], Eliminator] = defaultdict(Eliminator)
     queue: list[tuple[tuple[int, int], dict[int, int]]] = []
 
     def insert(bideg: tuple[int, int], row: dict[int, int]) -> None:
-        if not row:
-            return
-        elim = blocks.get(bideg)
-        if elim is None:
-            elim = blocks[bideg] = Eliminator()
-        if elim.add(row):
+        if row and blocks[bideg].add(row):
             queue.append((bideg, row))
 
     for p in starts:
-        bidegs = {m.bidegree() for m in p.terms}
-        if len(bidegs) > 1:
-            raise ValueError(f"a polynomial of bidegrees {sorted(bidegs)}, not one block")
-        if bidegs:
-            insert(bidegs.pop(), {column(m, base): c for m, c in p.terms.items()})
+        insert(*pack(p, base))
     for (a, b), row in queue:  # the queue grows while it is read: breadth first
         for w, dx, dy in face_steps if (a, b)[side] == level else steps:
             insert((a - dx, b - dy),

@@ -11,12 +11,16 @@ over the bars is the biexponent set of mu with (0, 0) removed.  Rules:
 Each rule is stated once: _bar_orders yields exactly the bar orders that
 obey rule 1, _cross_ranges gives the y-cross counts that rule 3 leaves each
 bar of an order, and rule 2 needs no code.  enumerate_general and
-reconstruct_general both read the rules from there.
+reconstruct_general both read the rules from there, and count_check
+multiplies the sizes of the cross ranges without building a drawing.
 
 The cross diagram S of a drawing (all x-cells plus the chosen y-crosses)
 and the white diagram T (the remaining y-cells) give monomial operators;
 applied to Delta_mu they produce bases of the x-degree-0 and x-degree-n(mu)
-homogeneous subspaces, each of dimension n!/mu'!.
+homogeneous subspaces, each of dimension n!/mu'!.  Each image d^S Delta and
+d^T Delta becomes a packed row (linalg.pack) as soon as diff_delta makes
+it; the x-degrees, the minimal monomials and the ranks are all read from
+the rows.
 
 The dimension of the x-degree-0 slice of M_mu itself is read from
 linalg.x_degree_zero_closure, not from the full derivative closure: Delta is
@@ -29,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from .delta import DeltaPolynomial, diff_delta
 from .errors import NoPreimageError, SizeLimitError
-from .linalg import homogeneous_family_rank, x_degree_zero_closure
+from .linalg import column, pack, packed_rank, x_degree_zero_closure
 from .partitions import Partition, biexponents, conjugate_factorial, corners, remove_corner
-from .poly import Monomial, min_monomial
+from .poly import Monomial
 
 DEFAULT_LIMIT = 8
 
@@ -61,11 +65,13 @@ def _bar_groups(mu: Partition) -> dict[int, list[tuple[int, int]]]:
 
 
 def _bar_orders(mu: Partition):
-    """All left-to-right bar sequences obeying rule 1.
+    """All left-to-right bar sequences obeying rule 1, in increasing order.
 
     Bars sharing an n_x value have pairwise distinct n_y, and rule 1 pins
     their relative order, so the orders are exactly the distinct shuffles of
-    the n_x groups.
+    the n_x groups.  Each place tries the groups in increasing n_x, and two
+    orders with a common prefix first differ in the n_x of the next bar, so
+    the orders come out as increasing tuples.
     """
     groups = _bar_groups(mu)
     keys = sorted(groups)
@@ -111,12 +117,16 @@ def _cross_ranges(order: tuple[tuple[int, int], ...]) -> list[range] | None:
     return ranges
 
 
-def enumerate_general(mu: Partition, limit: int = DEFAULT_LIMIT) -> list[GeneralDrawing]:
-    """All valid drawings for mu, each exactly once, in a deterministic order."""
+def _check_size(mu: Partition, limit: int) -> None:
     if mu.n > limit:
         raise SizeLimitError(f"n = {mu.n} exceeds the drawing size limit {limit}")
+
+
+def enumerate_general(mu: Partition, limit: int = DEFAULT_LIMIT) -> list[GeneralDrawing]:
+    """All valid drawings for mu, each exactly once, in a deterministic order."""
+    _check_size(mu, limit)
     out = []
-    for order in sorted(_bar_orders(mu)):
+    for order in _bar_orders(mu):
         ranges = _cross_ranges(order)
         if ranges is None:
             continue
@@ -127,8 +137,16 @@ def enumerate_general(mu: Partition, limit: int = DEFAULT_LIMIT) -> list[General
 
 
 def count_check(mu: Partition, limit: int = DEFAULT_LIMIT) -> tuple[int, int]:
-    """(enumerated count, n!/mu'!)."""
-    count = len(enumerate_general(mu, limit=limit))
+    """(number of drawings of mu, n!/mu'!).
+
+    The number is counted from the rules, with no drawing built: a bar
+    order admits one drawing per choice of a cross count from each of its
+    _cross_ranges, and an order that _cross_ranges rejects admits none.
+    enumerate_general builds exactly these drawings.
+    """
+    _check_size(mu, limit)
+    count = sum(prod(map(len, ranges)) for order in _bar_orders(mu)
+                if (ranges := _cross_ranges(order)) is not None)
     expected = factorial(mu.n) // conjugate_factorial(mu)
     return count, expected
 
@@ -208,29 +226,49 @@ def reconstruct_general(part: Monomial, from_s: bool, mu: Partition) -> GeneralD
 def check_minimal_monomials(d: GeneralDrawing) -> bool:
     """True iff min(dS.Delta) = M_T and min(dT.Delta) = M_S, for Delta of d.mu."""
     delta = DeltaPolynomial(d.mu)
+    base = _image_base(delta)
     s, t = split_general(d)
-    return _minimal_monomials_ok(s, t, diff_delta(s, delta), diff_delta(t, delta))
+    return (_has_minimum(pack(diff_delta(s, delta), base), t, base)
+            and _has_minimum(pack(diff_delta(t, delta), base), s, base))
 
 
-def _minimal_monomials_ok(s: Monomial, t: Monomial, image_s, image_t) -> bool:
-    if image_s.is_zero() or image_t.is_zero():
-        return False
-    return min_monomial(image_s) == t and min_monomial(image_t) == s
+def _image_base(delta: DeltaPolynomial) -> int:
+    """1 + n(mu) + n(mu'): above every exponent of every d^m Delta_mu."""
+    return 1 + sum(delta.bidegree)
+
+
+def _has_minimum(packed: tuple[tuple[int, int] | None, dict[int, int]], m: Monomial,
+                 base: int) -> bool:
+    """True iff the packed image is nonzero and m is its minimal monomial.
+
+    Within one bidegree, and with every exponent below base, the column
+    order is the mono_less order, so the minimal monomial sits at the least
+    column.  m must have the image's bidegree: a monomial of another
+    bidegree, with an exponent of base or more, may share that column.
+    """
+    bideg, row = packed
+    return bool(row) and bideg == m.bidegree() and min(row) == column(m, base)
 
 
 def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
                                limit: int = DEFAULT_LIMIT) -> dict:
     """Full verification report for the bases of M_mu^0 and M_mu^{n(mu)}.
 
-    delta must be Delta_mu; a Delta of another partition raises ValueError.
+    Each cross and white image becomes a packed row (linalg.pack) as soon
+    as it is made, at the base of _image_base, and no image Polynomial is
+    kept.  The rows answer every test: the x-degree tests read each row's
+    bidegree, the minimal-monomial test is _has_minimum, and both ranks are
+    linalg.packed_rank.  delta must be Delta_mu; a Delta of another
+    partition raises ValueError.
     """
     if delta.mu != mu:
         raise ValueError(f"Delta of {delta.mu} given for {mu}")
     drawings = enumerate_general(mu, limit=limit)
     n_mu = delta.bidegree[0]
+    base = _image_base(delta)
 
-    s_images = []
-    t_images = []
+    s_rows = []
+    t_rows = []
     xdeg_zero = True
     xdeg_top = True
     triangular = True
@@ -238,19 +276,19 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
     for d in drawings:
         s, t = split_general(d)
         white_halves.add(t)
-        ps = diff_delta(s, delta)
-        pt = diff_delta(t, delta)
-        s_images.append(ps)
-        t_images.append(pt)
-        if ps.is_zero() or any(m.xdeg() != 0 for m in ps.terms):
+        ps = pack(diff_delta(s, delta), base)
+        pt = pack(diff_delta(t, delta), base)
+        s_rows.append(ps)
+        t_rows.append(pt)
+        if ps[0] is None or ps[0][0] != 0:
             xdeg_zero = False
-        if pt.is_zero() or any(m.xdeg() != n_mu for m in pt.terms):
+        if pt[0] is None or pt[0][0] != n_mu:
             xdeg_top = False
-        if not _minimal_monomials_ok(s, t, ps, pt):
+        if not (_has_minimum(ps, t, base) and _has_minimum(pt, s, base)):
             triangular = False
 
-    rank_s = homogeneous_family_rank(s_images)
-    rank_t = homogeneous_family_rank(t_images)
+    rank_s = packed_rank(s_rows)
+    rank_t = packed_rank(t_rows)
     dim_zero_slice, _ = x_degree_zero_closure(delta)
 
     return {

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ghbasis import checks, cli, partitions
+from ghbasis import checks, cli, partitions, zerox
 from ghbasis.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SIZE_LIMIT, EXIT_USAGE, main, run
 from ghbasis.errors import RewriteDefectError
 from ghbasis.partitions import Partition
@@ -54,6 +54,18 @@ def test_zerox_count(capsys):
     assert status == EXIT_OK
     count_check = payload["checks"][0]
     assert count_check["expected"] == 6 and count_check["actual"] == 6
+
+
+def test_zerox_count_at_n_9_builds_no_drawing(capsys, monkeypatch):
+    # The 362,880 drawings of (9) are counted from the bar orders, not built.
+    def no_drawing(*args, **kwargs):
+        raise AssertionError("a drawing was built")
+
+    monkeypatch.setattr(zerox, "GeneralDrawing", no_drawing)
+    status = main(["zerox", "count", "--partition", "9", "--limit-n", "9", "--output", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert status == EXIT_OK
+    assert payload["checks"][0]["expected"] == payload["checks"][0]["actual"] == 362880
 
 
 def test_hooks_enumerate_list(capsys):

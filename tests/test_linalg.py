@@ -19,6 +19,7 @@ from ghbasis.linalg import (
     column,
     derivative_closure,
     homogeneous_family_rank,
+    pack,
     x_degree_zero_closure,
 )
 from ghbasis.partitions import Partition, hook_partition, partitions_of
@@ -230,6 +231,18 @@ def test_column_of_a_product_is_the_sum_of_the_columns():
     m, r = Monomial((2, 0, 1), (0, 1, 1)), Monomial((0, 3, 1), (1, 0, 0))
     for base in (m.mul(r).xdeg() + m.mul(r).ydeg() + 1, 17):
         assert column(m.mul(r), base) == column(m, base) + column(r, base)
+
+
+def test_pack_gives_the_bidegree_and_the_columns():
+    for text, n in [("x1^2*y3 - 3*x2*x3*y1 + x3^2*y2", 3), ("y1^4 - y2^4", 2), ("7", 2),
+                    ("x1^300 + x2^300", 2)]:
+        p = parse_poly(text, n)
+        for base in (sum(next(iter(p.terms)).bidegree()) + 1, 1000):
+            bideg = next(iter(p.terms)).bidegree()
+            assert pack(p, base) == (bideg, {column(m, base): c for m, c in p.terms.items()})
+    assert pack(Polynomial.zero(2), 5) == (None, {})
+    with pytest.raises(ValueError):
+        pack(parse_poly("x1*y2 + y1^2", 2), 3)
 
 
 def oracle_closure(starts, ops):

@@ -1,12 +1,15 @@
+import hashlib
 from itertools import product
 from math import factorial
 
 import pytest
 
-from ghbasis.delta import build_delta
+from ghbasis import zerox
+from ghbasis.delta import build_delta, diff_delta
 from ghbasis.errors import NoPreimageError
+from ghbasis.linalg import column, homogeneous_family_rank, pack, x_degree_zero_closure
 from ghbasis.partitions import Partition, conjugate_factorial, partitions_of
-from ghbasis.poly import Monomial, apply_diff, format_monomial, parse_poly
+from ghbasis.poly import Monomial, apply_diff, format_monomial, min_monomial, parse_poly
 from ghbasis.zerox import (
     GeneralDrawing,
     check_minimal_monomials,
@@ -45,11 +48,49 @@ def test_enumerate_22_by_hand():
     assert counts == [2, 4]  # the third legal order admits no drawing
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+def test_bar_orders_are_strictly_increasing():
+    # enumerate_general relies on this order without sorting.
+    for n in range(1, 9):
+        for mu in partitions_of(n):
+            orders = list(zerox._bar_orders(mu))
+            assert all(a < b for a, b in zip(orders, orders[1:])), mu
+
+
+def test_enumeration_is_unchanged():
+    # sha256 of the bars of every drawing with n <= 8, one partition after
+    # another in the order of partitions_of.
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for mu in partitions_of(n):
+            digest.update(repr([d.bars for d in enumerate_general(mu)]).encode())
+    assert digest.hexdigest() == "46af367fd6a3d07203af4cc17b147a17d48bb16013cf7029ec7739c923e52c6c"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_count_check_all_partitions(n):
     for mu in partitions_of(n):
         count, expected = count_check(mu)
         assert count == expected == factorial(n) // conjugate_factorial(mu)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_count_check_counts_the_enumeration(n):
+    for mu in partitions_of(n):
+        assert count_check(mu)[0] == len(enumerate_general(mu))
+
+
+def test_count_check_builds_no_drawing(monkeypatch):
+    def no_drawing(*args, **kwargs):
+        raise AssertionError("a drawing was built")
+
+    monkeypatch.setattr(zerox, "GeneralDrawing", no_drawing)
+    assert count_check(Partition((12,)), limit=12) == (479001600, 479001600)
+
+
+def test_count_check_catches_cross_ranges_without_the_rule_3_floor(monkeypatch):
+    monkeypatch.setattr(zerox, "_cross_ranges", lambda order: [range(ny + 1) for _, ny in order])
+    assert any(count_check(mu)[0] != factorial(n) // conjugate_factorial(mu)
+               for n in range(1, 5) for mu in partitions_of(n))
 
 
 def test_count_check_examples():
@@ -166,6 +207,96 @@ def test_verify_zero_x_degree_basis(parts):
     assert report["distinct_minimal_monomials"]
     assert report["rank_s"] == report["rank_t"] == expected
     assert report["dim_zero_slice"] == expected
+
+
+def oracle_verify(mu):
+    """verify_zero_x_degree_basis on image Polynomials: per-term x-degrees,
+    poly.min_monomial and linalg.homogeneous_family_rank, all images kept."""
+    delta = build_delta(mu)
+    n_mu = delta.bidegree[0]
+    drawings = enumerate_general(mu)
+    halves = [split_general(d) for d in drawings]
+    s_images = [diff_delta(s, delta) for s, _ in halves]
+    t_images = [diff_delta(t, delta) for _, t in halves]
+    return {
+        "count": len(drawings),
+        "x_degree_zero_ok": all(p.terms and all(m.xdeg() == 0 for m in p.terms)
+                                for p in s_images),
+        "x_degree_top_ok": all(p.terms and all(m.xdeg() == n_mu for m in p.terms)
+                               for p in t_images),
+        "triangularity_ok": all(oracle_minimal_monomials(s, t, ps, pt)
+                                for (s, t), ps, pt in zip(halves, s_images, t_images)),
+        "distinct_minimal_monomials": len({t for _, t in halves}) == len(drawings),
+        "rank_s": homogeneous_family_rank(s_images),
+        "rank_t": homogeneous_family_rank(t_images),
+        "dim_zero_slice": x_degree_zero_closure(delta)[0],
+    }
+
+
+def oracle_minimal_monomials(s, t, image_s, image_t):
+    return (not image_s.is_zero() and not image_t.is_zero()
+            and min_monomial(image_s) == t and min_monomial(image_t) == s)
+
+
+@pytest.mark.parametrize("mu", [mu for n in range(1, 6) for mu in partitions_of(n)], ids=str)
+def test_verify_matches_the_polynomial_oracle(mu):
+    assert verify_zero_x_degree_basis(mu, build_delta(mu)) == oracle_verify(mu)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_check_minimal_monomials_matches_the_polynomial_oracle(n):
+    for mu in partitions_of(n):
+        delta = build_delta(mu)
+        for d in enumerate_general(mu):
+            s, t = split_general(d)
+            expected = oracle_minimal_monomials(s, t, diff_delta(s, delta), diff_delta(t, delta))
+            assert check_minimal_monomials(d) == expected
+
+
+def test_verify_catches_swapped_white_halves(monkeypatch):
+    mu = Partition((2, 2, 1))
+    first, second = enumerate_general(mu)[:2]
+    real = split_general
+
+    def swapped(d):
+        s, t = real(d)
+        if d == first:
+            return s, real(second)[1]
+        if d == second:
+            return s, real(first)[1]
+        return s, t
+
+    monkeypatch.setattr(zerox, "split_general", swapped)
+    report = verify_zero_x_degree_basis(mu, build_delta(mu))
+    assert not report["triangularity_ok"]
+    assert report["distinct_minimal_monomials"]
+
+
+def test_verify_catches_cross_and_white_halves_exchanged(monkeypatch):
+    # Each d^T Delta then stands where a cross image should, at x-degree
+    # n(mu) = 4, and each d^S Delta at x-degree 0 where a white image should.
+    mu = Partition((2, 2, 1))
+    real = split_general
+    monkeypatch.setattr(zerox, "split_general", lambda d: real(d)[::-1])
+    report = verify_zero_x_degree_basis(mu, build_delta(mu))
+    assert not report["x_degree_zero_ok"]
+    assert not report["x_degree_top_ok"]
+
+
+def test_minimal_monomial_test_rejects_a_column_of_another_bidegree():
+    # M_T = y1 for this drawing of (2,1).  At the base, x2^base has y1's
+    # column too, since the digit y1 = 1 is x2 = base one place down.
+    mu = Partition((2, 1))
+    delta = build_delta(mu)
+    base = 1 + sum(delta.bidegree)
+    d = next(d for d in enumerate_general(mu) if d.bars == ((0, 1, 0), (1, 0, 0)))
+    s, t = split_general(d)
+    alias = Monomial((0, base, 0), (0, 0, 0))
+    assert t == Monomial((0, 0, 0), (1, 0, 0))
+    packed = pack(diff_delta(s, delta), base)
+    assert min(packed[1]) == column(t, base) == column(alias, base)
+    assert zerox._has_minimum(packed, t, base)
+    assert not zerox._has_minimum(packed, alias, base)
 
 
 def test_verify_21_rank_three():
