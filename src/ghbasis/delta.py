@@ -16,6 +16,11 @@ then deals the free columns to the other rows.  The row choices are
 tabulated once per partition and (a, b).  The biexponents are distinct, so
 distinct permutations give distinct monomials and nothing cancels inside
 one d^m.  poly.apply_diff, which walks every term, is the test oracle.
+:func:`diff_delta_row` makes the same expansion as a packed row of
+linalg's columns: each filled-row choice gets its column sum once, and each
+dealing of the free columns adds its entries from a table of column
+weights, so no Monomial is built; it equals linalg.pack(diff_delta(...)).
+The filled-row loop (_fill) is shared, and only the dealing differs.
 Delta is fixed by mu, so :class:`DeltaPolynomial` holds mu alone and expands
 its ``value``, the case m = 1, on first read.
 """
@@ -27,9 +32,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import perm
-from operator import itemgetter
+from operator import getitem, itemgetter, mul
 
 from .errors import SizeLimitError
+from .linalg import _weights
 from .partitions import Partition, biexponents, conjugate, n_stat
 from .poly import Monomial, Polynomial, unit_monomial
 
@@ -150,18 +156,22 @@ def _layout(n: int):
     return tuple(table)
 
 
-def _expand(parts: tuple[int, ...], op: Monomial, scale: int) -> dict[Monomial, int]:
-    """scale * d^op Delta_mu as a fresh term dict.
+def _fill(parts: tuple[int, ...], op: Monomial, scale: int):
+    """(ps, qs, layout, filled, partial): the rows that op touches, filled.
 
-    The rows that op touches, (a_i, b_i) != (0, 0), are filled first, one
-    row at a time, keeping every partial choice of distinct columns; each
-    survivor then deals its free columns to the other rows in every order.
-    List the rows in that processing order as a permutation pi, and the
-    columns chosen along it as a sequence c.  Then sigma o pi = c, so
-    sgn(sigma) = sgn(pi) sgn(c), and the inversions of c are counted as its
-    columns are chosen.  Equal exponent vectors share one tuple within a
-    call, which keeps an image as small as poly.apply_diff kept it: its
-    terms shared Delta's tuples in the alphabet that op leaves alone.
+    ps, qs are the column exponents of _row_table, layout is _layout(n)
+    and filled the mask of the rows that op touches, (a_i, b_i) != (0, 0).
+    Those rows are filled one at a time, in increasing order, keeping every
+    partial choice of distinct columns.  partial lists, for each surviving
+    choice, (used columns as a mask, coefficient, x and y exponents left at
+    the filled rows); it is empty when some touched row has no column.
+    List the rows in processing order, filled rows first and then the
+    others, as a permutation pi, and the columns chosen along it as a
+    sequence c.  Then sigma o pi = c, so sgn(sigma) = sgn(pi) sgn(c).  Each
+    coefficient carries scale, sgn(pi) and the inversions of c within the
+    filled rows; the crossings with the columns dealt later are
+    layout[used][0], and the inversions among those are the signs of
+    layout[used][3].
     """
     choices, ps, qs = _row_table(parts)
     n = len(ps)
@@ -174,17 +184,28 @@ def _expand(parts: tuple[int, ...], op: Monomial, scale: int) -> dict[Monomial, 
         if ab != (0, 0):
             row = choices.get(ab)
             if not row:
-                return {}
+                return ps, qs, layout, filled, []
             rows.append(row)
             filled |= 1 << i
-    sign, pick, _, _ = layout[filled]
-    # Partial choices (used columns, coefficient, x and y exponents of the
-    # filled rows so far), one filled row at a time.
-    partial = [(0, sign * scale, (), ())]
+    partial = [(0, layout[filled][0] * scale, (), ())]
     for row in rows:
         partial = [(used | 1 << j, (-c if (used >> j).bit_count() % 2 else c) * f,
                     tx + (p,), ty + (q,))
                    for used, c, tx, ty in partial for j, f, p, q in row if not used >> j & 1]
+    return ps, qs, layout, filled, partial
+
+
+def _expand(parts: tuple[int, ...], op: Monomial, scale: int) -> dict[Monomial, int]:
+    """scale * d^op Delta_mu as a fresh term dict.
+
+    The rows that op touches are filled first (_fill); each survivor then
+    deals its free columns to the other rows in every order.  Equal
+    exponent vectors share one tuple within a call, which keeps an image
+    as small as poly.apply_diff kept it: its terms shared Delta's tuples in
+    the alphabet that op leaves alone.
+    """
+    ps, qs, layout, filled, partial = _fill(parts, op, scale)
+    pick = layout[filled][1]
     out: dict[Monomial, int] = {}
     keep = {}.setdefault
     for used, c, tx, ty in partial:
@@ -200,6 +221,44 @@ def _expand(parts: tuple[int, ...], op: Monomial, scale: int) -> dict[Monomial, 
                 y = pick(y)
             out[Monomial(keep(x, x), keep(y, y))] = s * c
     return out
+
+
+def diff_delta_row(op: Monomial, delta: DeltaPolynomial,
+                   base: int) -> tuple[tuple[int, int] | None, dict[int, int]]:
+    """linalg.pack(diff_delta(op, delta), base), with no term built.
+
+    The rows that op touches are filled as _expand fills them (_fill), and
+    each partial choice gets its column sum once.  A dealing of the free
+    columns to the free rows adds one entry per free row from a table of
+    p_j * wx[r] + q_j * wy[r], the digit weights of linalg's columns; the
+    free rows are the same for every choice and the free columns depend
+    only on the columns used, so each set of used columns deals once per
+    call.  The bidegree is (sum p - sum a, sum q - sum b).  base must lie
+    above every exponent, as for pack; an operator of another ambient n
+    raises ValueError.
+    """
+    ps, qs, layout, filled, partial = _fill(delta.mu.parts, op, 1)
+    if not partial:
+        return None, {}
+    wx, wy = _weights(base, len(ps))
+    free_rows = layout[filled][2]
+    filled_wx = [w for i, w in enumerate(wx) if filled >> i & 1]
+    filled_wy = [w for i, w in enumerate(wy) if filled >> i & 1]
+    deals: dict[int, list[tuple[int, int]]] = {}
+    row = {}
+    for used, c, tx, ty in partial:
+        dealt = deals.get(used)
+        if dealt is None:
+            sign, _, rest, signs = layout[used]
+            table = [[ps[j] * wx[r] + qs[j] * wy[r] for j in rest] for r in free_rows]
+            dealt = deals[used] = [(sum(map(getitem, table, order)), sign * s)
+                                   for order, s in zip(permutations(range(len(rest))), signs)]
+        v = sum(map(mul, tx, filled_wx)) + sum(map(mul, ty, filled_wy))
+        for w, s in dealt:
+            # v + w may be allocated a digit wider than it needs; its
+            # negation is a copy of exact size, where -v - w would keep it wide.
+            row[-(v + w)] = s * c
+    return (sum(ps) - sum(op.xexp), sum(qs) - sum(op.yexp)), row
 
 
 def perm_sign(sigma: Sequence[int]) -> int:

@@ -10,13 +10,16 @@ the sum of their columns, and d/dx_i or d/dy_i reads one digit: it scales a
 term by that digit e and moves it one unit of the digit's weight up, or
 drops it when e = 0.
 
-A polynomial becomes a row in one place, :func:`pack`, which reads each
-term once and returns the row with its bidegree; no rank reads a
-Polynomial after that.  :func:`packed_rank` ranks packed rows block by
-block: :func:`homogeneous_family_rank` packs a family for it, and
-zerox.verify_zero_x_degree_basis packs each drawing image as soon as it is
-made.  :func:`_closure` packs its starting polynomials and differentiates
-rows from then on.  The graded quotient (annihilator._graded_quotient_dim)
+The column format is stated here alone: the digit weights of
+:func:`_weights`, summed and negated.  A polynomial becomes a row in
+:func:`pack`, which reads each term once and returns the row with its
+bidegree; no rank reads a Polynomial after that.  delta.diff_delta_row
+makes the same row for d^m Delta straight from the expansion, with no
+Polynomial at all, from those weights.  :func:`packed_rank` ranks packed
+rows block by block: :func:`homogeneous_family_rank` packs a family for
+it, and zerox.verify_zero_x_degree_basis hands it the rows of its drawing
+images.  :func:`_closure` packs its starting polynomials and
+differentiates rows from then on.  The graded quotient (annihilator._graded_quotient_dim)
 makes no Polynomial: it streams each generator-times-monomial row, a sum of
 columns, straight into its own :class:`Eliminator`.
 

@@ -9,18 +9,20 @@ over the bars is the biexponent set of mu with (0, 0) removed.  Rules:
    must keep at least q+1 white y-cells.
 
 Each rule is stated once: _bar_orders yields exactly the bar orders that
-obey rule 1, _cross_ranges gives the y-cross counts that rule 3 leaves each
-bar of an order, and rule 2 needs no code.  enumerate_general and
-reconstruct_general both read the rules from there, and count_check
-multiplies the sizes of the cross ranges without building a drawing.
+obey rule 1, _white_floor is the white floor of rule 3, and rule 2 needs no
+code.  _cross_ranges gives the y-cross counts that rule 3 leaves each bar of
+an order; enumerate_general and reconstruct_general read the rules from
+there.  count_check walks no order: it counts over the states of a bar
+suffix, the number of bars of each n_x group placed from the right, with
+the floor that _white_floor reads off the state.
 
 The cross diagram S of a drawing (all x-cells plus the chosen y-crosses)
 and the white diagram T (the remaining y-cells) give monomial operators;
 applied to Delta_mu they produce bases of the x-degree-0 and x-degree-n(mu)
 homogeneous subspaces, each of dimension n!/mu'!.  Each image d^S Delta and
-d^T Delta becomes a packed row (linalg.pack) as soon as diff_delta makes
-it; the x-degrees, the minimal monomials and the ranks are all read from
-the rows.
+d^T Delta is expanded straight into a packed row (delta.diff_delta_row),
+with no Monomial built; the x-degrees, the minimal monomials and the ranks
+are all read from the rows.
 
 The dimension of the x-degree-0 slice of M_mu itself is read from
 linalg.x_degree_zero_closure, not from the full derivative closure: Delta is
@@ -32,12 +34,13 @@ closure of those images under the n y-derivatives alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
-from math import factorial, prod
+from math import factorial
 
-from .delta import DeltaPolynomial, diff_delta
+from .delta import DeltaPolynomial, build_delta, diff_delta_row
 from .errors import NoPreimageError, SizeLimitError
-from .linalg import column, pack, packed_rank, x_degree_zero_closure
+from .linalg import column, packed_rank, x_degree_zero_closure
 from .partitions import Partition, biexponents, conjugate_factorial, corners, remove_corner
 from .poly import Monomial
 
@@ -94,26 +97,30 @@ def _bar_orders(mu: Partition):
     yield from shuffles(dict(counts), [])
 
 
-def _min_whites(order: tuple[tuple[int, int], ...], i: int) -> int:
-    """Rule 3 floor on white y-cells for the bar at position i (0-based)."""
-    nx = order[i][0]
-    floor = 0
-    for j in range(i + 1, len(order)):
-        if order[j][0] > nx:
-            floor = max(floor, order[j][1] + 1)
-    return floor
+def _white_floor(nx: int, highest: dict[int, int]) -> int:
+    """Rule 3: the fewest white y-cells a bar with nx x-cells may keep.
+
+    highest maps each n_x to the largest n_y among the bars already placed
+    to the bar's right; the floor is 1 + the largest of those n_y whose n_x
+    exceeds nx, or 0 when there is none.
+    """
+    return max((ny + 1 for h, ny in highest.items() if h > nx), default=0)
 
 
 def _cross_ranges(order: tuple[tuple[int, int], ...]) -> list[range] | None:
     """Rule 3: the y-cross counts each bar of order may take, or None when
-    some bar has fewer y-cells than its white floor (the first such bar
-    ends the scan)."""
+    some bar has fewer y-cells than its white floor.  The floors come from
+    _white_floor in one pass from the right, with the largest n_y of each
+    n_x group seen so far kept as a running maximum."""
     ranges = []
-    for i, (_, ny) in enumerate(order):
-        top = ny - _min_whites(order, i)
+    highest: dict[int, int] = {}
+    for nx, ny in reversed(order):
+        top = ny - _white_floor(nx, highest)
         if top < 0:
             return None
         ranges.append(range(top + 1))
+        highest[nx] = max(ny, highest.get(nx, ny))
+    ranges.reverse()
     return ranges
 
 
@@ -139,16 +146,38 @@ def enumerate_general(mu: Partition, limit: int = DEFAULT_LIMIT) -> list[General
 def count_check(mu: Partition, limit: int = DEFAULT_LIMIT) -> tuple[int, int]:
     """(number of drawings of mu, n!/mu'!).
 
-    The number is counted from the rules, with no drawing built: a bar
-    order admits one drawing per choice of a cross count from each of its
-    _cross_ranges, and an order that _cross_ranges rejects admits none.
-    enumerate_general builds exactly these drawings.
+    The number is counted over suffix states, with no bar order walked and
+    no drawing built.  Place the bars from the right.  Rule 1 fixes which
+    bars of each n_x group are placed, so a state is the number placed
+    from each group, and the next bar of a group has the white floor that
+    _white_floor reads off the placed bars alone.  So the drawings of the
+    bars still to place number count(state) = the sum, over the groups g
+    with a bar left whose cross range 0..top_g is not empty, of
+    (top_g + 1) * count(state + e_g), and count(all placed) = 1.  There are
+    prod(|group| + 1) states.  enumerate_general builds exactly these
+    drawings.
     """
     _check_size(mu, limit)
-    count = sum(prod(map(len, ranges)) for order in _bar_orders(mu)
-                if (ranges := _cross_ranges(order)) is not None)
+    groups = [bars for _, bars in sorted(_bar_groups(mu).items())]
+    done = tuple(map(len, groups))
+
+    @cache
+    def count(placed: tuple[int, ...]) -> int:
+        if placed == done:
+            return 1
+        # The leftmost placed bar of a group has its largest placed n_y.
+        highest = {bars[0][0]: bars[-k][1] for bars, k in zip(groups, placed) if k}
+        total = 0
+        for g, (bars, k) in enumerate(zip(groups, placed)):
+            if k < len(bars):
+                nx, ny = bars[-1 - k]
+                top = ny - _white_floor(nx, highest)
+                if top >= 0:
+                    total += (top + 1) * count(placed[:g] + (k + 1,) + placed[g + 1:])
+        return total
+
     expected = factorial(mu.n) // conjugate_factorial(mu)
-    return count, expected
+    return count((0,) * len(groups)), expected
 
 
 def corner_recursion_check(mu: Partition) -> bool:
@@ -224,12 +253,16 @@ def reconstruct_general(part: Monomial, from_s: bool, mu: Partition) -> GeneralD
 
 
 def check_minimal_monomials(d: GeneralDrawing) -> bool:
-    """True iff min(dS.Delta) = M_T and min(dT.Delta) = M_S, for Delta of d.mu."""
-    delta = DeltaPolynomial(d.mu)
+    """True iff min(dS.Delta) = M_T and min(dT.Delta) = M_S, for Delta of d.mu.
+
+    Delta comes from build_delta, so a drawing above its size limit raises
+    SizeLimitError before any expansion.
+    """
+    delta = build_delta(d.mu)
     base = _image_base(delta)
     s, t = split_general(d)
-    return (_has_minimum(pack(diff_delta(s, delta), base), t, base)
-            and _has_minimum(pack(diff_delta(t, delta), base), s, base))
+    return (_has_minimum(diff_delta_row(s, delta, base), t, base)
+            and _has_minimum(diff_delta_row(t, delta, base), s, base))
 
 
 def _image_base(delta: DeltaPolynomial) -> int:
@@ -254,11 +287,11 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
                                limit: int = DEFAULT_LIMIT) -> dict:
     """Full verification report for the bases of M_mu^0 and M_mu^{n(mu)}.
 
-    Each cross and white image becomes a packed row (linalg.pack) as soon
-    as it is made, at the base of _image_base, and no image Polynomial is
-    kept.  The rows answer every test: the x-degree tests read each row's
-    bidegree, the minimal-monomial test is _has_minimum, and both ranks are
-    linalg.packed_rank.  delta must be Delta_mu; a Delta of another
+    Each cross and white image is expanded straight into a packed row
+    (delta.diff_delta_row) at the base of _image_base, and no image
+    Polynomial is made.  The rows answer every test: the x-degree tests
+    read each row's bidegree, the minimal-monomial test is _has_minimum,
+    and both ranks are linalg.packed_rank.  delta must be Delta_mu; a Delta of another
     partition raises ValueError.
     """
     if delta.mu != mu:
@@ -276,8 +309,8 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
     for d in drawings:
         s, t = split_general(d)
         white_halves.add(t)
-        ps = pack(diff_delta(s, delta), base)
-        pt = pack(diff_delta(t, delta), base)
+        ps = diff_delta_row(s, delta, base)
+        pt = diff_delta_row(t, delta, base)
         s_rows.append(ps)
         t_rows.append(pt)
         if ps[0] is None or ps[0][0] != 0:

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from ghbasis import delta as delta_module
 from ghbasis.annihilator import bounded_operators, generators
-from ghbasis.delta import DeltaPolynomial, build_delta, diff_delta, diff_delta_poly, perm_sign
+from ghbasis.delta import (DeltaPolynomial, build_delta, diff_delta, diff_delta_poly, diff_delta_row,
+                           perm_sign)
 from ghbasis.errors import SizeLimitError
-from ghbasis.linalg import derivative_closure, x_degree_zero_closure
+from ghbasis.linalg import derivative_closure, pack, x_degree_zero_closure
 from ghbasis.partitions import (Partition, biexponents, conjugate, hook_partition, n_stat,
                                  partitions_of)
 from ghbasis.poly import (Monomial, Polynomial, apply_diff, apply_diff_poly, format_poly,
@@ -183,12 +184,23 @@ def box_operators(delta):
     return bounded_operators(delta.n, *delta.bidegree)
 
 
+def image_base(delta):
+    """1 + n(mu) + n(mu'): above every exponent of every d^m Delta."""
+    return 1 + sum(delta.bidegree)
+
+
+def row_matches_the_oracle(op, delta):
+    base = image_base(delta)
+    return diff_delta_row(op, delta, base) == pack(apply_diff(op, delta.value), base)
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_diff_delta_matches_apply_diff_on_the_operator_box(n):
     for mu in partitions_of(n):
         delta = build_delta(mu)
         for op in box_operators(delta):
             assert diff_delta(op, delta) == apply_diff(op, delta.value), (mu, op)
+            assert row_matches_the_oracle(op, delta), (mu, op)
 
 
 @pytest.mark.parametrize("mu", [*partitions_of(5), *(hook_partition(K, 5 - K) for K in range(6))],
@@ -198,6 +210,7 @@ def test_diff_delta_matches_apply_diff_on_a_sample(mu):
     operators = list(box_operators(delta))
     for op in random.Random(16).sample(operators, min(2000, len(operators))):
         assert diff_delta(op, delta) == apply_diff(op, delta.value), op
+        assert row_matches_the_oracle(op, delta), op
 
 
 @pytest.mark.parametrize("K,L", [(K, n - 1 - K) for n in range(1, 5) for K in range(n)])
@@ -217,7 +230,10 @@ def test_diff_delta_does_not_assume_a_hook():
     image = diff_delta(op, delta)
     assert not image.is_zero()
     assert image == apply_diff(op, delta.value)
-    assert diff_delta(op, build_delta(hook_partition(2, 1))).is_zero()
+    hook = build_delta(hook_partition(2, 1))
+    assert diff_delta(op, hook).is_zero()
+    assert diff_delta_row(op, hook, image_base(hook)) == (None, {})
+    assert diff_delta_row(op, delta, image_base(delta)) == pack(image, image_base(delta))
 
 
 def test_diff_delta_rejects_an_operator_of_another_ambient():
@@ -226,6 +242,8 @@ def test_diff_delta_rejects_an_operator_of_another_ambient():
         diff_delta(Monomial((1, 0), (0, 0)), delta)
     with pytest.raises(ValueError):
         diff_delta_poly(parse_poly("x1 + x4", 4), delta)
+    with pytest.raises(ValueError):
+        diff_delta_row(Monomial((1, 0), (0, 0)), delta, image_base(delta))
 
 
 def test_a_row_table_missing_a_column_fails_the_oracle(monkeypatch):
@@ -243,3 +261,4 @@ def test_a_row_table_missing_a_column_fails_the_oracle(monkeypatch):
     mismatches = [op for op in box_operators(delta)
                   if diff_delta(op, delta) != apply_diff(op, delta.value)]
     assert mismatches
+    assert all(not row_matches_the_oracle(op, delta) for op in mismatches)

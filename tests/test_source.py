@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -132,3 +134,41 @@ def test_orphaned_public_names_finds_an_orphan():
                     "class E:\n    def f(self):\n        pass\n\ndef g():\n    pass\n"}
     outside = ["import m\nm.d()\nSPANS = ['m.g']\n"]
     assert orphaned_public_names(library, ["c"], outside) == ["m.E", "m.a"]
+
+
+def load_spans():
+    """perfbench/spans.py, loaded from its file as the benchmark loads it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", REPO / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def untraceable(traced):
+    """The attribute paths of traced that name no callable of ghbasis."""
+    missing = []
+    for _, path, _ in traced:
+        module_name, *attrs = path.split(".")
+        try:
+            owner = importlib.import_module(f"ghbasis.{module_name}")
+        except ImportError:
+            missing.append(path)
+            continue
+        for attr in attrs:
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(path)
+    return missing
+
+
+def test_every_traced_function_exists():
+    # The tracer reports a missing function as absent and goes on, so a
+    # rename would null a benchmark metric without failing any run.
+    assert untraceable(load_spans().TRACED) == []
+
+
+def test_untraceable_finds_a_renamed_function():
+    traced = [("a", "delta.build_delta", False), ("b", "delta.no_such_function", False),
+              ("c", "poly.Polynomial.no_such_method", True), ("d", "no_such_module.f", False)]
+    assert untraceable(traced) == ["delta.no_such_function", "poly.Polynomial.no_such_method",
+                                   "no_such_module.f"]

@@ -4,9 +4,10 @@ from math import factorial
 
 import pytest
 
+from ghbasis import delta as delta_module
 from ghbasis import zerox
 from ghbasis.delta import build_delta, diff_delta
-from ghbasis.errors import NoPreimageError
+from ghbasis.errors import NoPreimageError, SizeLimitError
 from ghbasis.linalg import column, homogeneous_family_rank, pack, x_degree_zero_closure
 from ghbasis.partitions import Partition, conjugate_factorial, partitions_of
 from ghbasis.poly import Monomial, apply_diff, format_monomial, min_monomial, parse_poly
@@ -66,10 +67,10 @@ def test_enumeration_is_unchanged():
     assert digest.hexdigest() == "46af367fd6a3d07203af4cc17b147a17d48bb16013cf7029ec7739c923e52c6c"
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_count_check_all_partitions(n):
     for mu in partitions_of(n):
-        count, expected = count_check(mu)
+        count, expected = count_check(mu, limit=12)
         assert count == expected == factorial(n) // conjugate_factorial(mu)
 
 
@@ -87,8 +88,19 @@ def test_count_check_builds_no_drawing(monkeypatch):
     assert count_check(Partition((12,)), limit=12) == (479001600, 479001600)
 
 
+def test_count_check_walks_no_bar_order(monkeypatch):
+    def no_orders(mu):
+        raise AssertionError("a bar order was walked")
+
+    monkeypatch.setattr(zerox, "_bar_orders", no_orders)
+    for mu in partitions_of(6):
+        assert count_check(mu)[0] == factorial(6) // conjugate_factorial(mu)
+
+
 def test_count_check_catches_cross_ranges_without_the_rule_3_floor(monkeypatch):
-    monkeypatch.setattr(zerox, "_cross_ranges", lambda order: [range(ny + 1) for _, ny in order])
+    # The count and _cross_ranges read rule 3 from the one helper.
+    monkeypatch.setattr(zerox, "_white_floor", lambda nx, highest: 0)
+    assert zerox._cross_ranges(((0, 1), (1, 1))) == [range(2), range(2)]
     assert any(count_check(mu)[0] != factorial(n) // conjugate_factorial(mu)
                for n in range(1, 5) for mu in partitions_of(n))
 
@@ -181,6 +193,18 @@ def test_minimal_monomial_examples():
     s, t = split_general(d)
     assert apply_diff(s, delta.value) == parse_poly("y1 - y3", 3)
     assert format_monomial(t) == "y1"
+
+
+def test_check_minimal_monomials_keeps_the_delta_size_limit(monkeypatch):
+    # A hand-built drawing reaches Delta only through build_delta's cap, so
+    # no sign table of 10! entries is made.
+    def no_layout(n):
+        raise AssertionError("the sign table was built")
+
+    monkeypatch.setattr(delta_module, "_layout", no_layout)
+    d = GeneralDrawing(mu=Partition((10,)), bars=tuple((0, ny, 0) for ny in range(9, 0, -1)))
+    with pytest.raises(SizeLimitError):
+        check_minimal_monomials(d)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
