@@ -27,8 +27,13 @@ vectors in the same way.
 
 Delta_mu is alternating, so :func:`annihilates` expands one term per orbit of
 the Young subgroup that fixes the operator, not every term of it, and each
-expansion walks only the permutations of Delta that survive the term
-(:func:`ghbasis.delta.diff_delta_poly`).
+expansion deals a set of columns once to the rows that carry equal pairs
+inside one block (delta._fold).  A5b folds a second time:
+(sigma P)(d) Delta = sgn(sigma) sigma(P(d) Delta), so one representative with
+prefix sets decides each S_n-orbit of a schema's instances, and
+:func:`schema_orbits` builds its canonical terms directly under the blocks
+cut at the prefix boundaries.  :func:`proposition_instances` lists every
+instance; the tests and the benchmark read it.
 
 The rewriting expresses any monomial operator modulo the ideal as an
 integer combination of drawing operators.  A non-drawing diagram is
@@ -47,13 +52,14 @@ steps need not descend under it, though completed normal forms do.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product, starmap
-from math import comb
+from math import comb, factorial, prod
 from operator import add
 
-from .delta import DeltaPolynomial, diff_delta_poly, perm_sign
+from .delta import DeltaPolynomial, _fill, _fold
 from .errors import InvariantError, RewriteDefectError, SizeLimitError
 from .hooks import HookDrawing, enumerate_drawings, split
 from .linalg import Eliminator, column
@@ -160,48 +166,50 @@ def annihilates(P: Polynomial, delta: DeltaPolynomial) -> bool:
 
     Delta is bihomogeneous of bidegree (n(mu), n(mu')), so a term of x-degree
     above n(mu) or y-degree above n(mu') kills it; such terms are dropped
-    first, and P kills Delta when none is left.
+    first, and P kills Delta when none is left.  The terms left are keyed by
+    their pairs (x_i, y_i), and no Monomial or Polynomial is built after
+    this filter.  Distinct permutations of Delta give distinct monomials, so
+    nothing cancels inside one d^m: a single term c m kills Delta exactly
+    when no permutation survives d^m (delta._fill).
 
-    The rest is decided one orbit at a time.  Let H = S_B1 x ... x S_Bk be the
-    Young subgroup generated by the place transpositions (i j) that fix P,
-    where (i j) swaps x_i with x_j and y_i with y_j.  A canonical form has its
-    pairs (x_i, y_i) sorted inside each block.  Each H-orbit O of P's terms,
+    Several terms are decided one orbit at a time.  Let H = S_B1 x ... x S_Bk
+    be the Young subgroup generated by the place transpositions (i j) that
+    fix P, where (i j) swaps x_i with x_j and y_i with y_j.  A canonical form
+    has its pairs sorted inside each block.  Each H-orbit O of P's terms,
     with coefficient c_O, gives its canonical term R_O the weight
-    w_O = c_O |O|, the coefficient sum of the orbit, and
-    Q = sum_O w_O R_O(d) Delta is one expansion, over the permutations of
-    Delta that survive each R_O (delta.diff_delta_poly).  Delta is
-    alternating, so (hT)(d) Delta = sgn(h) h(T(d) Delta) for every h in H;
-    summing over H gives A_H(Q) = |H| P(d) Delta, where
+    w_O = c_O |O|, the coefficient sum of the orbit.  Delta is alternating,
+    so (hT)(d) Delta = sgn(h) h(T(d) Delta) for every h in H; summing over H
+    gives A_H(Q) = |H| P(d) Delta for Q = sum_O w_O R_O(d) Delta, where
     A_H f = sum_h sgn(h) h(f).  A_H sends a monomial that repeats a pair
     inside a block to 0 and any other to the sign of its sorting permutation
     times A_H of its canonical form, and the images of distinct canonical
-    forms have disjoint supports.  So P kills
-    Delta exactly when every canonical sum of Q's signed coefficients is 0.
-    When H is trivial, those sums are Q itself: P(d) Delta, term by term.
+    forms have disjoint supports.  So P kills Delta exactly when every
+    signed canonical sum of Q is 0; delta._fold expands each R_O and folds
+    its terms into those sums.  Any subgroup of P's stabilizer would do:
+    :func:`schema_orbits` passes the blocks it already knows.
     """
     if P.n != delta.n:
         raise ValueError(f"operator ambient {P.n} != Delta ambient {delta.n}")
     bx, by = delta.bidegree
-    terms = {m: c for m, c in P.terms.items() if sum(m.xexp) <= bx and sum(m.yexp) <= by}
+    terms = {tuple(zip(*m)): c for m, c in P.terms.items()
+             if sum(m.xexp) <= bx and sum(m.yexp) <= by}
     if not terms:
         return True
+    if len(terms) == 1:
+        *_, survivors = _fill(delta.mu.parts, next(iter(terms)), 1)
+        return not survivors
     blocks = _stabilizer_blocks(terms, P.n)
     weights: dict[tuple, int] = {}
-    for m, c in terms.items():
-        form = _sorted_form(m, blocks)
+    for pairs, c in terms.items():
+        form = _sorted_form(pairs, blocks)
         weights[form] = weights.get(form, 0) + c
-    operator = Polynomial(P.n, {Monomial(*zip(*form)): w for form, w in weights.items()})
-    sums: dict[tuple, int] = {}
-    for m, c in diff_delta_poly(operator, delta).terms.items():
-        form, sign = _signed_form(m, blocks)
-        if sign:
-            sums[form] = sums.get(form, 0) + sign * c
-    return not any(sums.values())
+    return not any(_fold(delta.mu.parts, weights, blocks).values())
 
 
-def _stabilizer_blocks(terms: dict[Monomial, int], n: int) -> list[tuple[int, ...]]:
+def _stabilizer_blocks(terms: dict[tuple, int], n: int) -> list[tuple[int, ...]]:
     """The blocks of size > 1 (0-based places) of the Young subgroup that the
-    place transpositions mapping terms onto itself generate.
+    place transpositions mapping terms onto itself generate; terms are keyed
+    by their pairs (x_i, y_i).
 
     "(i j) maps terms onto itself" is an equivalence relation on the places:
     if (i j) and (j k) do, so does (i k) = (i j)(j k)(i j).  So each place
@@ -210,8 +218,7 @@ def _stabilizer_blocks(terms: dict[Monomial, int], n: int) -> list[tuple[int, ..
     i and j have equal exponent sums over the terms; only those pairs are
     tested.
     """
-    column_sums = list(zip(map(sum, zip(*(m.xexp for m in terms))),
-                           map(sum, zip(*(m.yexp for m in terms)))))
+    column_sums = [tuple(map(sum, zip(*place))) for place in zip(*terms)]
     blocks: list[list[int]] = []
     for k in range(n):
         for block in blocks:
@@ -223,42 +230,26 @@ def _stabilizer_blocks(terms: dict[Monomial, int], n: int) -> list[tuple[int, ..
     return [tuple(b) for b in blocks if len(b) > 1]
 
 
-def _swap_fixes(terms: dict[Monomial, int], i: int, j: int) -> bool:
+def _swap_fixes(terms: dict[tuple, int], i: int, j: int) -> bool:
     """True iff swapping places i and j (0-based) maps terms onto itself."""
-    for (x, y), c in terms.items():
-        if x[i] == x[j] and y[i] == y[j]:
+    for pairs, c in terms.items():
+        if pairs[i] == pairs[j]:
             continue
-        sx, sy = list(x), list(y)
-        sx[i], sx[j] = x[j], x[i]
-        sy[i], sy[j] = y[j], y[i]
-        if terms.get(Monomial(tuple(sx), tuple(sy))) != c:
+        swapped = list(pairs)
+        swapped[i], swapped[j] = pairs[j], pairs[i]
+        if terms.get(tuple(swapped)) != c:
             return False
     return True
 
 
-def _sorted_form(m: Monomial, blocks: list[tuple[int, ...]]) -> tuple:
-    """The canonical form of m: its pairs (x_i, y_i), sorted inside each block."""
-    pairs = list(zip(*m))
+def _sorted_form(pairs: tuple, blocks: list[tuple[int, ...]]) -> tuple:
+    """The canonical form of a term given by its pairs (x_i, y_i): the pairs
+    sorted inside each block."""
+    pairs = list(pairs)
     for block in blocks:
         for k, p in zip(block, sorted([pairs[k] for k in block])):
             pairs[k] = p
     return tuple(pairs)
-
-
-def _signed_form(m: Monomial, blocks: list[tuple[int, ...]]) -> tuple[tuple | None, int]:
-    """The canonical form of m and the sign of its sorting permutation;
-    (None, 0) when a block repeats a pair."""
-    pairs = list(zip(*m))
-    sign = 1
-    for block in blocks:
-        inside = [pairs[k] for k in block]
-        if len(set(inside)) < len(inside):
-            return None, 0
-        order = sorted(range(len(inside)), key=inside.__getitem__)
-        sign *= perm_sign(order)
-        for k, o in zip(block, order):
-            pairs[k] = inside[o]
-    return tuple(pairs), sign
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +306,141 @@ def proposition_instances(n: int, K: int, L: int, which: int):
                     nested_xy = set(X) <= set(Y)
                     if not (nested_yx or nested_xy):
                         continue
+                    hx: dict[int, list[tuple[int, ...]]] = {}
                     for k in range(1, ky_max + 1):
                         for l in range(1, lx_max + 1):
-                            if which == 3:
-                                hit = k + l + len(Y) + len(X) >= 2 * n
-                            else:
-                                hit = (nested_yx and k + l + len(Y) > n) or (
-                                    nested_xy and k + l + len(X) > n)
-                            if hit:
-                                hx = list(_h_exponents(l, X, n))
+                            if _nested_hit(which, n, k, l, len(Y), len(X), nested_yx, nested_xy):
+                                if l not in hx:
+                                    hx[l] = list(_h_exponents(l, X, n))
                                 yield Polynomial(n, {Monomial(a, b): 1
-                                                     for b in hy[k] for a in hx})
+                                                     for b in hy[k] for a in hx[l]})
+
+
+def schema_orbits(K: int, L: int, which: int, delta: DeltaPolynomial):
+    """(orbit size, annihilates) for one representative per S_n-orbit of the
+    instances of the chosen relation schema, in the hook (K+1, 1^L).
+
+    (sigma P)(d) Delta = sgn(sigma) sigma(P(d) Delta), so a representative
+    decides its orbit, and the orbit sizes sum to the number of instances
+    that :func:`proposition_instances` yields.  A representative takes
+    prefix sets {1..s} (_schema_representatives).  Its canonical terms are
+    built directly under the Young subgroup of the blocks cut at the prefix
+    boundaries, which fixes it (_representative), and decided as
+    :func:`annihilates` decides its orbits (delta._fold).  One above Delta's
+    bidegree annihilates without being built.  A Delta of another
+    partition raises ValueError.
+    """
+    n = hook_size(K, L)
+    if delta.mu != (mu := hook_partition(K, L)):
+        raise ValueError(f"Delta of {delta.mu} given for the hook {mu}")
+    bx, by = delta.bidegree
+    for size, rep in _schema_representatives(n, K, L, which):
+        bar, k, _, l, _ = rep
+        if l > bx or k + bar > by:
+            yield size, True
+            continue
+        weights, blocks = _representative(n, rep)
+        yield size, not any(_fold(delta.mu.parts, weights, blocks).values())
+
+
+def _schema_representatives(n: int, K: int, L: int, which: int):
+    """(orbit size, rep) for one instance per S_n-orbit, in the order and
+    with the degree caps of :func:`proposition_instances`.
+
+    rep = (bar, k, ys, l, xs) names Ybar h_k(Y) h_l(X) with the prefix sets
+    Ybar = {1..bar}, Y = {1..ys} and X = {1..xs}; h_l(X) is 1 when l = 0.
+    Schema 1 is (0, k, |Y|, 0, 0) with orbit C(n, |Y|); schema 2, Ybar h_k(Y'),
+    is (|Y|, k, |Y'|, 0, 0) with orbit C(n, |Y'|) C(|Y'|, |Y|); schemas 3 and
+    4 are (0, k, |Y|, l, |X|).  Their sets are nested, the smaller inside
+    the larger, so the orbit is C(n, large) C(large, small), and C(n, |Y|)
+    when the sets are equal.
+    """
+    if which not in (1, 2, 3, 4):
+        raise ValueError("which must be 1, 2, 3 or 4")
+    ky_max = K * (K + 1) // 2 + 1
+    lx_max = L * (L + 1) // 2 + 1
+    if which == 1:
+        for k in range(1, ky_max + 1):
+            for size in range(max(0, n - k + 1), n + 1):
+                yield comb(n, size), (0, k, size, 0, 0)
+        return
+    if which == 2:
+        for yp in range(n + 1):
+            for y in range(yp + 1):
+                for k in range(1, ky_max + 1):
+                    if k + y > K:
+                        yield comb(n, yp) * comb(yp, y), (y, k, yp, 0, 0)
+        return
+    for ys in range(n + 1):
+        for xs in range(n + 1):
+            large, small = max(ys, xs), min(ys, xs)
+            size = comb(n, large) * comb(large, small)
+            for k in range(1, ky_max + 1):
+                for l in range(1, lx_max + 1):
+                    if _nested_hit(which, n, k, l, ys, xs, ys <= xs, xs <= ys):
+                        yield size, (0, k, ys, l, xs)
+
+
+def _nested_hit(which: int, n: int, k: int, l: int, y: int, x: int,
+                y_in_x: bool, x_in_y: bool) -> bool:
+    """The hypothesis of schema 3 or 4 for h_k(Y) h_l(X) with |Y| = y,
+    |X| = x and nested sets, Y inside X (y_in_x) or X inside Y (x_in_y)."""
+    if which == 3:
+        return k + l + y + x >= 2 * n
+    return (y_in_x and k + l + y > n) or (x_in_y and k + l + x > n)
+
+
+def _representative(n: int, rep: tuple[int, ...]) -> tuple[dict[tuple, int], list[tuple[int, ...]]]:
+    """(weights, blocks) of the representative rep of _schema_representatives.
+
+    The prefix boundaries cut range(n) into spans; the spans of size > 1 are
+    the blocks, and S_span1 x S_span2 x ... fixes the representative.  Its
+    canonical terms split the x-degree l over the spans inside X and the
+    y-degree k over the spans inside Y, as the exponent vectors of h_l and
+    h_k over those spans (_h_exponents).  Inside a span the pairs (x_i, y_i)
+    are every non-decreasing sequence with those sums (_pair_sequences),
+    with y_i raised by 1 inside Ybar.  A term's weight is its orbit size,
+    the product over the spans of s!/prod mult!, as every coefficient of the
+    instance is 1.  An h_k over an empty set is 0, and then weights is empty.
+    """
+    bar, k, ys, l, xs = rep
+    cuts = sorted({0, bar, ys, xs, n})
+    spans = list(zip(cuts, cuts[1:]))
+    blocks = [tuple(range(lo, hi)) for lo, hi in spans if hi - lo > 1]
+    in_x = tuple(i for i, (_, hi) in enumerate(spans, 1) if hi <= xs)
+    in_y = tuple(i for i, (_, hi) in enumerate(spans, 1) if hi <= ys)
+    weights: dict[tuple, int] = {}
+    for dx in _h_exponents(l, in_x, len(spans)):
+        for dy in _h_exponents(k, in_y, len(spans)):
+            parts = []
+            for (lo, hi), a, b in zip(spans, dx, dy):
+                lift = int(hi <= bar)
+                parts.append([(tuple((x, y + lift) for x, y in seq), w)
+                              for seq, w in _pair_sequences(hi - lo, a, b)])
+            for choice in product(*parts):
+                term = tuple(chain.from_iterable(seq for seq, _ in choice))
+                weights[term] = prod(w for _, w in choice)
+    return weights, blocks
+
+
+@lru_cache(maxsize=None)
+def _pair_sequences(s: int, dx: int, dy: int) -> tuple[tuple[tuple, int], ...]:
+    """Every non-decreasing sequence of s >= 1 pairs with x-sum dx and
+    y-sum dy, each with s!/prod mult!, the number of its orderings."""
+    return tuple((seq, factorial(s) // prod(map(factorial, Counter(seq).values())))
+                 for seq in _non_decreasing(s, dx, dy, (0, 0)))
+
+
+def _non_decreasing(s: int, dx: int, dy: int, low: tuple[int, int]):
+    """The sequences of _pair_sequences whose first pair is at least low."""
+    if s == 1:
+        if (dx, dy) >= low:
+            yield ((dx, dy),)
+        return
+    for a in range(low[0], dx // s + 1):  # every later pair has x >= a
+        for b in range(low[1] if a == low[0] else 0, dy + 1):
+            for seq in _non_decreasing(s - 1, dx - a, dy - b, (a, b)):
+                yield ((a, b),) + seq
 
 
 # ---------------------------------------------------------------------------

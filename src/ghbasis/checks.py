@@ -25,7 +25,7 @@ from math import factorial
 from typing import Callable
 
 from .annihilator import (annihilates, bounded_operators, generators, normal_form,
-                          proposition_instances, quotient_hilbert)
+                          quotient_hilbert, schema_orbits)
 from .delta import build_delta
 from .errors import RewriteDefectError
 from .hooks import (
@@ -176,12 +176,14 @@ def _generators(ctx: HookContext) -> list[Check]:
 
 
 def _schema_instances(ctx: HookContext) -> list[Check]:
+    """seen counts every instance of a schema and good those that annihilate,
+    one S_n-orbit at a time."""
     out = []
     for which in (1, 2, 3, 4):
         seen = good = 0
-        for inst in proposition_instances(ctx.n, ctx.K, ctx.L, which):
-            seen += 1
-            good += annihilates(inst, ctx.delta)
+        for size, kills in schema_orbits(ctx.K, ctx.L, which, ctx.delta):
+            seen += size
+            good += size if kills else 0
         out.append(Check(f"{ctx.name} schema-{which} instances", seen, good))
     return out
 
@@ -269,7 +271,7 @@ REGISTRY = (
               HOOK, 4, 5, _quotient),
     Criterion("A4", "spanning rewriting exact on every bounded operator", HOOK, 4, 5, _rewriting),
     Criterion("A5a", "every listed generator annihilates Delta", HOOK, 4, 7, _generators),
-    Criterion("A5b", "every relation-schema instance annihilates Delta", HOOK, 3, 5,
+    Criterion("A5b", "every relation-schema instance annihilates Delta", HOOK, 3, 6,
               _schema_instances),
     Criterion("A7a", "reconstruct o split = identity from S and T", HOOK, 4, 6,
               _split_round_trip),

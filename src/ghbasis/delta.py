@@ -21,6 +21,11 @@ linalg's columns: each filled-row choice gets its column sum once, and each
 dealing of the free columns adds its entries from a table of column
 weights, so no Monomial is built; it equals linalg.pack(diff_delta(...)).
 The filled-row loop (_fill) is shared, and only the dealing differs.
+Annihilation needs less than d^m Delta: only its sums under a Young subgroup
+of places, as annihilator.annihilates explains.  :func:`_fold` makes those
+sums by antisymmetry: rows of one block with equal operator pairs are
+interchangeable, so it deals each set of columns to them once and weights
+the term by the permutations it stands for.
 Delta is fixed by mu, so :class:`DeltaPolynomial` holds mu alone and expands
 its ``value``, the case m = 1, on first read.
 """
@@ -30,9 +35,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations
-from math import perm
-from operator import getitem, itemgetter, mul
+from itertools import combinations, permutations
+from math import factorial, perm, prod
+from operator import eq, getitem, itemgetter, mul
 
 from .errors import SizeLimitError
 from .linalg import _weights
@@ -156,11 +161,12 @@ def _layout(n: int):
     return tuple(table)
 
 
-def _fill(parts: tuple[int, ...], op: Monomial, scale: int):
-    """(ps, qs, layout, filled, partial): the rows that op touches, filled.
+def _fill(parts: tuple[int, ...], pairs: tuple[tuple[int, int], ...], scale: int):
+    """(ps, qs, layout, filled, partial): the rows that an operator touches, filled.
 
-    ps, qs are the column exponents of _row_table, layout is _layout(n)
-    and filled the mask of the rows that op touches, (a_i, b_i) != (0, 0).
+    pairs lists the operator's (a_i, b_i), row by row.  ps, qs are the
+    column exponents of _row_table, layout is _layout(n) and filled the
+    mask of the rows that the operator touches, (a_i, b_i) != (0, 0).
     Those rows are filled one at a time, in increasing order, keeping every
     partial choice of distinct columns.  partial lists, for each surviving
     choice, (used columns as a mask, coefficient, x and y exponents left at
@@ -175,12 +181,12 @@ def _fill(parts: tuple[int, ...], op: Monomial, scale: int):
     """
     choices, ps, qs = _row_table(parts)
     n = len(ps)
-    if len(op.xexp) != n:
-        raise ValueError(f"operator ambient {len(op.xexp)} != Delta ambient {n}")
+    if len(pairs) != n:
+        raise ValueError(f"operator ambient {len(pairs)} != Delta ambient {n}")
     layout = _layout(n)
     rows = []
     filled = 0
-    for i, ab in enumerate(zip(op.xexp, op.yexp)):
+    for i, ab in enumerate(pairs):
         if ab != (0, 0):
             row = choices.get(ab)
             if not row:
@@ -204,7 +210,7 @@ def _expand(parts: tuple[int, ...], op: Monomial, scale: int) -> dict[Monomial, 
     as small as poly.apply_diff kept it: its terms shared Delta's tuples in
     the alphabet that op leaves alone.
     """
-    ps, qs, layout, filled, partial = _fill(parts, op, scale)
+    ps, qs, layout, filled, partial = _fill(parts, tuple(zip(*op)), scale)
     pick = layout[filled][1]
     out: dict[Monomial, int] = {}
     keep = {}.setdefault
@@ -223,6 +229,102 @@ def _expand(parts: tuple[int, ...], op: Monomial, scale: int) -> dict[Monomial, 
     return out
 
 
+def _fold(parts: tuple[int, ...], weights: dict[tuple, int],
+          blocks: list[tuple[int, ...]]) -> dict[tuple, int]:
+    """The signed canonical sums of Q = sum_R w_R d^R Delta_mu under the
+    Young subgroup H = S_B1 x ... x S_Bk of the blocks (0-based rows).
+
+    weights maps each canonical term R, its pairs (a_i, b_i) row by row and
+    sorted inside each block, to w_R.  A form is the sorted pairs of each
+    block, then the pairs of the rows outside every block, in row order.  A
+    term of Q goes to its form with the sign of the sorting, or to nothing
+    when a block repeats a pair (_signed_sort); Q maps to 0 under A_H exactly
+    when every sum is 0.
+
+    Rows of one block that carry the same pair of R form a class.  Swapping
+    the columns of two of its rows swaps two equal factors of the term and
+    two exponent pairs inside the block, so the term keeps its form and its
+    signed coefficient.  Each set of columns is therefore dealt to a class
+    once, in increasing order, and R is weighted by the product of |class|!.
+
+    The rows are filled in one order pi for every R: each block from its
+    last row to its first, so that R's larger pairs, the rows it touches,
+    come before its free rows, then the rows outside every block.  A class
+    is then a run of equal pairs along pi.  sgn(sigma) = sgn(pi) times the
+    sign of the columns along pi, which gains the used columns above each
+    new one (those of a class increase, so they add no inversion).  A block
+    is read back from last row to first, which turns the sign of its
+    sorting by (-1)^(s(s-1)/2) for a block of s rows; that and sgn(pi) are
+    the same for every R.
+    """
+    choices, ps, _ = _row_table(parts)
+    n = len(ps)
+    pi: list[int] = []
+    spans = []  # the positions of each block along pi
+    for block in blocks:
+        spans.append((len(pi), len(pi) + len(block)))
+        pi += reversed(block)
+    joined = [False] * n  # position t lies in the block of position t - 1
+    for lo, hi in spans:
+        joined[lo + 1:hi] = [True] * (hi - lo - 1)
+    tail = len(pi)
+    pi += sorted(set(range(n)).difference(pi))
+    sign = perm_sign(pi) * (-1) ** sum(len(b) * (len(b) - 1) // 2 for b in blocks)
+    along = itemgetter(*pi) if n > 1 else tuple
+    sums: dict[tuple, int] = {}
+    for term, w in weights.items():
+        seq = along(term)
+        rows = list(map(choices.get, seq))
+        if not all(rows):
+            continue  # some row has no column
+        runs: list[list[int]] = []
+        for t in range(n):
+            if joined[t] and seq[t] == seq[t - 1]:
+                runs[-1][1] += 1
+            else:
+                runs.append([t, 1])
+        partial = [(0, w * sign * prod(factorial(s) for _, s in runs), ())]
+        for t, s in runs:
+            row = rows[t]
+            if s == 1:
+                partial = [(used | 1 << j, (-c if (used >> j).bit_count() & 1 else c) * f,
+                            got + ((p, q),))
+                           for used, c, got in partial for j, f, p, q in row if not used >> j & 1]
+                continue
+            dealt = []
+            for used, c, got in partial:
+                for combo in combinations([e for e in row if not used >> e[0] & 1], s):
+                    u, cc = used, c
+                    for j, f, _, _ in combo:
+                        cc = (-cc if (used >> j).bit_count() & 1 else cc) * f
+                        u |= 1 << j
+                    dealt.append((u, cc, got + tuple((p, q) for _, _, p, q in combo)))
+            partial = dealt
+        for _, c, got in partial:
+            form = []
+            for lo, hi in spans:
+                inside_pairs, flip = _signed_sort(got[lo:hi])
+                if not flip:
+                    break
+                form.append(inside_pairs)
+                c *= flip
+            else:
+                form.append(got[tail:])
+                form = tuple(form)
+                sums[form] = sums.get(form, 0) + c
+    return sums
+
+
+def _signed_sort(pairs: tuple) -> tuple[tuple, int]:
+    """pairs sorted, and the sign of the sorting; (pairs, 0) when a pair repeats."""
+    inside = tuple(sorted(pairs))
+    if any(map(eq, inside, inside[1:])):
+        return pairs, 0
+    if inside == pairs:
+        return inside, 1
+    return inside, perm_sign(sorted(range(len(pairs)), key=pairs.__getitem__))
+
+
 def diff_delta_row(op: Monomial, delta: DeltaPolynomial,
                    base: int) -> tuple[tuple[int, int] | None, dict[int, int]]:
     """linalg.pack(diff_delta(op, delta), base), with no term built.
@@ -237,7 +339,7 @@ def diff_delta_row(op: Monomial, delta: DeltaPolynomial,
     above every exponent, as for pack; an operator of another ambient n
     raises ValueError.
     """
-    ps, qs, layout, filled, partial = _fill(delta.mu.parts, op, 1)
+    ps, qs, layout, filled, partial = _fill(delta.mu.parts, tuple(zip(*op)), 1)
     if not partial:
         return None, {}
     wx, wy = _weights(base, len(ps))

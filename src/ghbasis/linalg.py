@@ -91,7 +91,9 @@ def pack(p: Polynomial, base: int) -> tuple[tuple[int, int] | None, dict[int, in
         w = ys.get(ye)
         if w is None:
             w = ys[ye] = sum(map(mul, ye, wy))
-        row[-v - w] = c
+        # v + w may be allocated a digit wider than it needs; its negation
+        # is a copy of exact size, where -v - w would keep it wide.
+        row[-(v + w)] = c
     xdegs = {sum(xe) for xe in xs}
     ydegs = {sum(ye) for ye in ys}
     if len(xdegs) > 1 or len(ydegs) > 1:

@@ -21,6 +21,7 @@ the same polarity; see that module for why the two orders differ.
 from __future__ import annotations
 
 from math import perm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import PolynomialSyntaxError
@@ -97,13 +98,12 @@ class Polynomial:
 
     def __init__(self, n: int, terms: dict[Monomial, int] | None = None):
         self.n = n
-        cleaned = {}
-        for m, c in (terms or {}).items():
-            if len(m.xexp) != n:
-                raise ValueError(f"monomial ambient {len(m.xexp)} != polynomial ambient {n}")
-            if c != 0:
-                cleaned[m] = c
-        self.terms = cleaned
+        terms = terms or {}
+        ambients = set(map(len, map(itemgetter(0), terms)))  # of each m.xexp
+        ambients.discard(n)
+        if ambients:
+            raise ValueError(f"monomial ambient {ambients.pop()} != polynomial ambient {n}")
+        self.terms = {m: c for m, c in terms.items() if c} if 0 in terms.values() else dict(terms)
 
     # -- constructors -------------------------------------------------
     @classmethod

@@ -322,6 +322,7 @@ def verify_zero_x_degree_basis(mu: Partition, delta: DeltaPolynomial,
 
     rank_s = packed_rank(s_rows)
     rank_t = packed_rank(t_rows)
+    del s_rows, t_rows  # the image rows need not live through the slice, the peak
     dim_zero_slice, _ = x_degree_zero_closure(delta)
 
     return {

@@ -22,6 +22,18 @@ def verify(number: str) -> None:
     assert not failed, failed
 
 
+# The least full bound of each criterion: a bound may go up, never down.
+FULL_BOUND_FLOORS = {"A1": 7, "A2": 6, "A3": 6, "A6": 5, "A4": 5, "A5a": 7, "A5b": 6,
+                     "A7a": 6, "A7b": 6, "A7c": 6, "A7d": 7, "A8a": 7, "A8b/A8c": 6, "A8d": 8}
+
+
+def test_full_bounds_stay_at_or_above_their_floors():
+    bounds = {c.label: c.full for c in REGISTRY if c.full is not None}
+    assert bounds.keys() == FULL_BOUND_FLOORS.keys()
+    assert {label: bound for label, bound in bounds.items()
+            if bound < FULL_BOUND_FLOORS[label]} == {}
+
+
 def test_a1_drawing_counts():
     verify("A1")
 

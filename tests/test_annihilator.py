@@ -1,7 +1,9 @@
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product as iproduct, starmap
 from math import comb, factorial, prod
+from operator import add
 
 import pytest
 
@@ -16,9 +18,11 @@ from ghbasis.annihilator import (
     proposition_instances,
     quotient_hilbert,
     reduce_step,
+    schema_orbits,
 )
 from ghbasis import annihilator, checks, hooks
-from ghbasis.delta import build_delta, diff_delta_poly
+from ghbasis import delta as delta_module
+from ghbasis.delta import build_delta, diff_delta_poly, perm_sign
 from ghbasis.errors import InvariantError, RewriteDefectError, SizeLimitError
 from ghbasis.hooks import enumerate_drawings, split
 from ghbasis.linalg import Eliminator, column, derivative_closure
@@ -75,6 +79,11 @@ def test_annihilates_rejects_another_ambient(text, n):
         annihilates(parse_poly(text, n), build_delta(hook_partition(1, 1)))
 
 
+def pair_terms(P):
+    """P's terms keyed by their pairs (x_i, y_i), as annihilates keys them."""
+    return {tuple(zip(*m)): c for m, c in P.terms.items()}
+
+
 def perturbed_copies(P):
     """P with one term dropped, and P plus a term with its x-vector reversed."""
     items = list(P.terms.items())
@@ -121,7 +130,7 @@ def test_annihilates_rejects_the_unit_and_a_term_of_delta(mu):
 ])
 def test_stabilizer_blocks(text, n, blocks):
     # h_2(x1, x2) at n = 3 is fixed by (1 2) only, not by all of S_3.
-    assert annihilator._stabilizer_blocks(parse_poly(text, n).terms, n) == blocks
+    assert annihilator._stabilizer_blocks(pair_terms(parse_poly(text, n)), n) == blocks
 
 
 def test_annihilates_expands_one_term_per_orbit(monkeypatch):
@@ -129,12 +138,13 @@ def test_annihilates_expands_one_term_per_orbit(monkeypatch):
     # i into at most 6 parts; the hook (0, 5) has x-degree 15, so none of its
     # h_X(i) is dropped by degree.
     seen = []
+    fold = annihilator._fold
 
-    def counting(operator, delta):
-        seen.append(len(operator.terms))
-        return diff_delta_poly(operator, delta)
+    def counting(parts, weights, blocks):
+        seen.append(len(weights))
+        return fold(parts, weights, blocks)
 
-    monkeypatch.setattr(annihilator, "diff_delta_poly", counting)
+    monkeypatch.setattr(annihilator, "_fold", counting)
     delta = build_delta(hook_partition(0, 5))
     for tag, P in generators(0, 5).entries:
         if tag.startswith("h_X("):
@@ -151,11 +161,237 @@ def test_annihilates_drops_the_terms_over_the_degree_of_delta(monkeypatch):
     assert annihilates(h1 + parse_poly("y2^2*x3", 3), delta)
     assert not annihilates(h1 + parse_poly("x1", 3), delta)
 
-    def no_expansion(operator, delta):
+    def no_expansion(parts, weights, blocks):
         raise AssertionError("an operator over the degree of Delta was expanded")
 
-    monkeypatch.setattr(annihilator, "diff_delta_poly", no_expansion)
+    monkeypatch.setattr(annihilator, "_fold", no_expansion)
+    monkeypatch.setattr(annihilator, "_fill", no_expansion)
     assert annihilates(parse_poly("x1^2 - 3*y1^2*x2 + y3^5", 3), delta)
+
+
+# The orbit path before class folding, kept as the oracle of delta._fold: the
+# weighted canonical terms are expanded by diff_delta_poly, and each image term
+# goes to its canonical form with the sign of its sorting permutation.
+
+def signed_form(m, blocks):
+    """The pairs of m sorted inside each block, and the sign of the sorting;
+    (None, 0) when a block repeats a pair."""
+    pairs = list(zip(*m))
+    sign = 1
+    for block in blocks:
+        inside = [pairs[k] for k in block]
+        if len(set(inside)) < len(inside):
+            return None, 0
+        order = sorted(range(len(inside)), key=inside.__getitem__)
+        sign *= perm_sign(order)
+        for k, o in zip(block, order):
+            pairs[k] = inside[o]
+    return tuple(pairs), sign
+
+
+def orbit_sums(weights, blocks, delta):
+    """The nonzero signed canonical sums of sum_R w_R d^R Delta, by expansion."""
+    operator = Polynomial(delta.n, {Monomial(*zip(*form)): w for form, w in weights.items()})
+    sums = {}
+    for m, c in diff_delta_poly(operator, delta).terms.items():
+        form, sign = signed_form(m, blocks)
+        if sign:
+            sums[form] = sums.get(form, 0) + sign * c
+    return {form: v for form, v in sums.items() if v}
+
+
+def folded_sums(weights, blocks, delta):
+    """The nonzero sums of delta._fold, each form written in place order."""
+    n = delta.n
+    singles = [k for k in range(n) if all(k not in block for block in blocks)]
+    out = {}
+    for form, v in annihilator._fold(delta.mu.parts, weights, blocks).items():
+        if v:
+            pairs = [None] * n
+            for places, inside in zip([*blocks, singles], form):
+                for k, p in zip(places, inside):
+                    pairs[k] = p
+            out[tuple(pairs)] = v
+    return out
+
+
+def canonical_weights(P, delta):
+    """(weights, blocks) as annihilates makes them from P's terms in Delta's box."""
+    bx, by = delta.bidegree
+    terms = {pairs: c for pairs, c in pair_terms(P).items()
+             if sum(x for x, _ in pairs) <= bx and sum(y for _, y in pairs) <= by}
+    blocks = annihilator._stabilizer_blocks(terms, P.n) if terms else []
+    weights = {}
+    for pairs, c in terms.items():
+        form = annihilator._sorted_form(pairs, blocks)
+        weights[form] = weights.get(form, 0) + c
+    return weights, blocks
+
+
+def assert_folding_matches_the_orbit_path(operators, delta):
+    """Every operator and its perturbed copies; returns the verdicts seen."""
+    verdicts = set()
+    for P in operators:
+        for Q in (P, *perturbed_copies(P)):
+            weights, blocks = canonical_weights(Q, delta)
+            expected = orbit_sums(weights, blocks, delta)
+            assert folded_sums(weights, blocks, delta) == expected, format_poly(Q)
+            assert annihilates(Q, delta) == (not expected), format_poly(Q)
+            verdicts.add(not expected)
+    return verdicts
+
+
+def hook_operators(K, L):
+    n = K + L + 1
+    operators = list(generators(K, L).polynomials)
+    for which in (1, 2, 3, 4):
+        operators += proposition_instances(n, K, L, which)
+    return operators
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(4)))
+def test_folding_matches_the_orbit_path(K, L):
+    delta = build_delta(hook_partition(K, L))
+    verdicts = assert_folding_matches_the_orbit_path(hook_operators(K, L), delta)
+    assert verdicts == ({True} if K + L == 0 else {True, False})
+
+
+def h_vectors(degree, size, n):
+    """The exponent vectors of h_degree over the places 1..size, in n variables."""
+    return [tuple(combo.count(i) for i in range(n))
+            for combo in combinations_with_replacement(range(size), degree)]
+
+
+def full_representative(n, rep):
+    """Ybar h_k(Y) h_l(X) over the prefix sets of rep = (|Ybar|, k, |Y|, l, |X|),
+    term by term."""
+    bar, k, ys, l, xs = rep
+    ybar = tuple(int(i < bar) for i in range(n))
+    return Polynomial(n, {Monomial(a, tuple(map(add, b, ybar))): 1
+                          for b in h_vectors(k, ys, n) for a in h_vectors(l, xs, n)})
+
+
+def representatives_in_the_box(K, L):
+    """(which, orbit size, rep) for the representatives that schema_orbits
+    expands: those within the bidegree of Delta."""
+    n = K + L + 1
+    bx, by = L * (L + 1) // 2, K * (K + 1) // 2
+    return [(which, size, rep) for which in (1, 2, 3, 4)
+            for size, rep in annihilator._schema_representatives(n, K, L, which)
+            if rep[3] <= bx and rep[1] + rep[0] <= by]
+
+
+def permuted(P, sigma):
+    """P with place i moved to place sigma[i]."""
+    terms = {}
+    for m, c in P.terms.items():
+        x, y = [0] * P.n, [0] * P.n
+        for i, j in enumerate(sigma):
+            x[j], y[j] = m.xexp[i], m.yexp[i]
+        terms[Monomial(tuple(x), tuple(y))] = c
+    return Polynomial(P.n, terms)
+
+
+@pytest.mark.parametrize("K,L", [(K, 4 - K) for K in range(5)])
+def test_folding_matches_the_orbit_path_on_a_sample_at_n_5(K, L):
+    # Each representative in the box, moved by a seeded permutation, is an
+    # instance whose stabilizer blocks need not be runs of places.
+    n = K + L + 1
+    delta = build_delta(hook_partition(K, L))
+    rng = random.Random(25 + K)
+    operators = list(generators(K, L).polynomials)
+    for _, _, rep in representatives_in_the_box(K, L):
+        operators.append(permuted(full_representative(n, rep), rng.sample(range(n), n)))
+    assert assert_folding_matches_the_orbit_path(operators, delta) == {True, False}
+
+
+def mismatches_with_the_full_expansion(nmax):
+    return [format_poly(Q) for K, L in hooks_up_to(nmax)
+            for delta in [build_delta(hook_partition(K, L))]
+            for P in hook_operators(K, L) for Q in (P, *perturbed_copies(P))
+            if annihilates(Q, delta) != apply_diff_poly(Q, delta.value).is_zero()]
+
+
+def sort_keeping_repeats(pairs):
+    return tuple(sorted(pairs)), perm_sign(sorted(range(len(pairs)), key=pairs.__getitem__))
+
+
+@pytest.mark.parametrize("mutant", ["class factorial dropped", "repeated pair kept",
+                                    "single-term test inverted"])
+def test_folding_catches_each_mutant(mutant, monkeypatch):
+    fill = annihilator._fill
+    if mutant == "class factorial dropped":
+        monkeypatch.setattr(delta_module, "factorial", lambda k: 1)
+    elif mutant == "repeated pair kept":
+        monkeypatch.setattr(delta_module, "_signed_sort", sort_keeping_repeats)
+    else:
+        monkeypatch.setattr(annihilator, "_fill", lambda parts, pairs, scale: (
+            *fill(parts, pairs, scale)[:-1], [] if fill(parts, pairs, scale)[-1] else [None]))
+    assert mismatches_with_the_full_expansion(3)
+
+
+def blocks_inside(known, blocks):
+    """True iff every known block lies inside one of blocks."""
+    return all(any(set(b) <= set(c) for c in blocks) for b in known)
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(5)))
+def test_schema_orbits_equal_the_instance_rows(K, L):
+    n = K + L + 1
+    delta = build_delta(hook_partition(K, L))
+    for which in (1, 2, 3, 4):
+        seen = good = 0
+        for instance in proposition_instances(n, K, L, which):
+            seen += 1
+            good += annihilates(instance, delta)
+        orbits = list(schema_orbits(K, L, which, delta))
+        assert sum(size for size, _ in orbits) == seen, which
+        assert sum(size for size, kills in orbits if kills) == good, which
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(5)))
+def test_representatives_are_built_under_blocks_that_fix_them(K, L):
+    # The known blocks lie inside the stabilizer blocks of the representative
+    # built term by term, and its canonical terms under them carry its orbits.
+    n = K + L + 1
+    for which, _, rep in representatives_in_the_box(K, L):
+        weights, blocks = annihilator._representative(n, rep)
+        terms = pair_terms(full_representative(n, rep))
+        if terms:
+            assert blocks_inside(blocks, annihilator._stabilizer_blocks(terms, n)), (which, rep)
+        expected = Counter()
+        for pairs, c in terms.items():
+            expected[annihilator._sorted_form(pairs, blocks)] += c
+        assert weights == expected, (which, rep)
+
+
+def test_blocks_that_do_not_fix_a_representative_fail_the_block_test():
+    # h_2(y1, y2) at n = 3 is fixed by S_{1,2} x S_{3}, not by S_3.
+    rep = (0, 2, 2, 0, 0)
+    terms = pair_terms(full_representative(3, rep))
+    stabilizer = annihilator._stabilizer_blocks(terms, 3)
+    assert blocks_inside(annihilator._representative(3, rep)[1], stabilizer)
+    assert not blocks_inside([(0, 1, 2)], stabilizer)
+
+
+def test_a_representative_that_does_not_annihilate_is_decided_false():
+    # y1 on the hook (2, 2); the orbit path agrees.  (h_3(y1) does annihilate
+    # there, so it cannot serve.)
+    delta = build_delta(hook_partition(2, 2))
+    rep = (0, 1, 1, 0, 0)
+    weights, blocks = annihilator._representative(5, rep)
+    assert any(annihilator._fold(delta.mu.parts, weights, blocks).values())
+    assert orbit_sums(*canonical_weights(full_representative(5, rep), delta), delta)
+    h3 = (0, 3, 1, 0, 0)
+    assert not orbit_sums(*canonical_weights(full_representative(5, h3), delta), delta)
+    assert not any(annihilator._fold(delta.mu.parts, *annihilator._representative(5, h3)).values())
+
+
+def test_schema_orbits_reject_a_delta_of_another_partition():
+    with pytest.raises(ValueError):
+        next(schema_orbits(1, 1, 1, build_delta(Partition((3,)))))
+    with pytest.raises(ValueError):
+        next(schema_orbits(1, 1, 5, build_delta(hook_partition(1, 1))))
 
 
 def test_normal_form_rejects_a_delta_of_another_partition():

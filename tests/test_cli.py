@@ -242,14 +242,14 @@ def test_per_object_command_uses_the_registry(monkeypatch):
 
 def test_ideal_verify_notes_schema_rows_above_their_bound(capsys):
     bound = checks.criterion("A5b").full
-    status = main(["ideal", "verify", "--k", "3", "--l", "2", "--limit-n", "6"])
+    status = main(["ideal", "verify", "--k", "4", "--l", "2", "--limit-n", "7"])
     lines = capsys.readouterr().out.splitlines()
-    assert status == EXIT_OK and bound < 6
+    assert status == EXIT_OK and bound < 7
     notes = [line for line in lines if "A5b" in line]
-    assert notes == [f"{checks.criterion('A5b').describe('full')}: not run at n = 6"]
+    assert notes == [f"{checks.criterion('A5b').describe('full')}: not run at n = 7"]
     assert f"n <= {bound}" in notes[0]
     assert [line for line in lines if line.startswith("[")] == [
-        "[PASS] hooks(3,2) generators annihilate: expected 53, got 53"]
+        "[PASS] hooks(4,2) generators annihilate: expected 77, got 77"]
 
 
 def test_rewrite_defect_is_a_failed_check(monkeypatch):

@@ -79,6 +79,8 @@ def test_mismatched_ambient_rejected():
         mono_less(mono("x1", 2), mono("x1", 3))
     with pytest.raises(ValueError):
         parse_poly("x1", 2) + parse_poly("x1", 3)
+    with pytest.raises(ValueError):  # a zero coefficient does not hide the wrong ambient
+        Polynomial(2, {mono("x1", 2): 1, mono("x1", 3): 0})
 
 
 def test_ring_arithmetic_examples():
