@@ -22,8 +22,9 @@ alphabets, so the product is the sum of x^a y^b over the x-vectors a of
 h_l(X) and the y-vectors b of h_k(Y).  Distinct pairs (a, b) give distinct
 monomials, so every coefficient is 1.  Ybar h_k(Y') is a monomial times a
 polynomial, so each of its terms is a vector of h_k(Y') shifted by the
-squarefree vector of Ybar.  A rewriting step shifts the operator's own
-vectors in the same way.
+squarefree vector of Ybar; :func:`_products` pairs the vectors of the
+schema-3/4 products with no bytecode per term.  A rewriting step shifts
+the operator's own vectors in the same way.
 
 Delta_mu is alternating, so :func:`annihilates` expands one term per orbit of
 the Young subgroup that fixes the operator, not every term of it, and each
@@ -44,7 +45,10 @@ condition at a place and its h-product h_k(own) h_l(other), from which
 loop.  Every emitted monomial is strictly smaller in the block
 descent order of :func:`ghbasis.poly.descent_key` (scan x_1..x_n, y_1..y_n;
 larger exponent at the first difference = smaller), which bounds the
-rewriting by the finite set of monomials of the fixed bidegree.  The public
+rewriting by the finite set of monomials of the fixed bidegree.  That
+order is the reverse of tuple order on a Monomial's (xexp, yexp): m
+descends below op exactly when m > op, which is how reduce_step tests it.
+The public
 mono_less order of :mod:`ghbasis.poly` interleaves the alphabets instead
 (that is what minimal-monomial triangularity requires); single rewrite
 steps need not descend under it, though completed normal forms do.
@@ -54,17 +58,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, product, starmap
+from functools import lru_cache, partial
+from itertools import (chain, combinations, combinations_with_replacement, product, repeat,
+                       starmap)
 from math import comb, factorial, prod
-from operator import add
+from operator import add, mul
 
 from .delta import DeltaPolynomial, _fill, _fold
 from .errors import InvariantError, RewriteDefectError, SizeLimitError
 from .hooks import HookDrawing, enumerate_drawings, split
 from .linalg import Eliminator, column
 from .partitions import hook_partition, hook_size
-from .poly import Monomial, Polynomial, descent_key
+from .poly import Monomial, Polynomial
 
 CASE_VALID = "valid-drawing"
 CASE_NULL = "null-operator"          # some place carries both x- and y-orders
@@ -312,8 +317,18 @@ def proposition_instances(n: int, K: int, L: int, which: int):
                             if _nested_hit(which, n, k, l, len(Y), len(X), nested_yx, nested_xy):
                                 if l not in hx:
                                     hx[l] = list(_h_exponents(l, X, n))
-                                yield Polynomial(n, {Monomial(a, b): 1
-                                                     for b in hy[k] for a in hx[l]})
+                                yield Polynomial(n, _products(hx[l], hy[k]))
+
+
+# Monomial from the pair (xexp, yexp), skipping NamedTuple's Python-level __new__.
+_monomial = partial(tuple.__new__, Monomial)
+
+
+def _products(xs: list[tuple[int, ...]], ys: list[tuple[int, ...]]) -> dict[Monomial, int]:
+    """{x^a y^b: 1} over b in ys, then a in xs, in that order; the terms are
+    paired and built by C-level iterators, with no bytecode per term."""
+    return dict.fromkeys(map(_monomial, zip(xs * len(ys),
+                                            chain.from_iterable(map(repeat, ys, repeat(len(xs)))))), 1)
 
 
 def schema_orbits(K: int, L: int, which: int, delta: DeltaPolynomial):
@@ -464,18 +479,26 @@ def classify_diagram(op: Monomial, K: int, L: int) -> AnomalyClass:
     such place would contradict the spanning argument and is reported as a
     defect rather than patched.
     """
+    case, place, _ = _classify(op, K, L)
+    return AnomalyClass(case=case, place=place)
+
+
+def _classify(op: Monomial, K: int, L: int) -> tuple[str, int | None, tuple | None]:
+    """(case, guilty place, rule) of :func:`classify_diagram`, with the
+    :func:`_rule_at` rule of an anomaly (None otherwise), so that
+    :func:`reduce_step` sweeps the places once."""
     n = K + L + 1
     if op.n != n:
         raise ValueError(f"operator ambient {op.n} != n = {n}")
-    for i in range(n):
-        if op.xexp[i] and op.yexp[i]:
-            return AnomalyClass(case=CASE_NULL, place=i + 1)
+    for i, (a, b) in enumerate(zip(op.xexp, op.yexp), 1):
+        if a and b:
+            return CASE_NULL, i, None
     if op in _s_index(K, L):
-        return AnomalyClass(case=CASE_VALID, place=None)
+        return CASE_VALID, None, None
     for g in range(n, 0, -1):
         rule = _rule_at(op, K, L, g)
         if rule is not None:
-            return AnomalyClass(case=rule[0], place=g)
+            return rule[0], g, rule
     raise RewriteDefectError(
         f"no rewriting schema applies anywhere in {op}; "
         f"this contradicts the spanning argument")
@@ -493,7 +516,7 @@ def _own_first(x, y, guilty_y: bool):
 
 def _rule_at(op: Monomial, K: int, L: int, g: int) -> tuple | None:
     """The rewriting schema at place g as (case, own, k, other, partner, l),
-    or None.
+    or None; own and other are tuples of places.
 
     The schema is h_k(own) h_l(other), over places of the alphabet of g's
     order e and of the other alphabet, and its guilty monomial, g's variable
@@ -522,19 +545,19 @@ def _rule_at(op: Monomial, K: int, L: int, g: int) -> tuple | None:
     if not e:
         return None
     cross, tail, blocked = _Y_CASES if guilty_y else _X_CASES
-    crossed = [p for p in range(1, g + 1) if own[p - 1]]
+    crossed = tuple(p for p in range(1, g + 1) if own[p - 1])
     if (e - 1) + len(crossed) > (K if guilty_y else L):
         return cross, crossed, e - 1, (), g, 0
     if e + g > n:
-        return tail, range(1, g + 1), e, (), g, 0
+        return tail, tuple(range(1, g + 1)), e, (), g, 0
     between = 0
     for q in range(g + 1, n + 1):
         l = other[q - 1]
         if not l:
             continue
         if e + l + g + between + guilty_y > n:
-            own_places = [*range(1, g + 1), q] if guilty_y else range(1, g + 1)
-            return blocked, own_places, e, range(1, q + 1), q, l
+            own_places = (*range(1, g + 1), q) if guilty_y else tuple(range(1, g + 1))
+            return blocked, own_places, e, tuple(range(1, q + 1)), q, l
         between += 1
     return None
 
@@ -548,13 +571,11 @@ def _drop(v: tuple[int, ...], place: int, e: int) -> tuple[int, ...]:
     return v[:place - 1] + (v[place - 1] - e,) + v[place:]
 
 
-def _shift(op: Monomial, dx: tuple[int, ...], dy: tuple[int, ...]) -> Monomial | None:
-    """op with its exponent vectors shifted by dx and dy; None if mixed."""
-    xe = tuple(map(add, op.xexp, dx))
-    ye = tuple(map(add, op.yexp, dy))
-    if any(a and b for a, b in zip(xe, ye)):
-        return None  # multiple of some x_i y_i: in the ideal, dropped
-    return Monomial(xe, ye)
+@lru_cache(maxsize=None)
+def _masked_h(degree: int, places: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(vector, support mask) for each exponent vector of h_degree over the
+    places, in the order of :func:`_h_exponents`; read by reduce_step only."""
+    return tuple((v, _support(v)) for v in _h_exponents(degree, places, n))
 
 
 def reduce_step(op: Monomial, K: int, L: int) -> list[tuple[int, Monomial]]:
@@ -563,30 +584,42 @@ def reduce_step(op: Monomial, K: int, L: int) -> list[tuple[int, Monomial]]:
 
     The schema h_k(own) h_l(other) of the guilty place (:func:`_rule_at`)
     has the guilty monomial as one term, and the schema says it is minus
-    the others.  So each replacement term, with coefficient -1, is op with
-    the guilty monomial divided out, times another monomial of the
-    h-product; mixed terms lie in the ideal and are dropped.
+    the others.  So each replacement term, with coefficient -1, is the base
+    op / guilty times another monomial v w of the h-product, v of h_k(own)
+    in the guilty place's alphabet and w of h_l(other) in the other one.
+    Mixed terms lie in the ideal and are dropped before they are built:
+    the base divides op, an anomaly, so it is not mixed, and base * v w is
+    mixed exactly when the support mask of its own-alphabet half (base's
+    own half with v) meets that of its other half (base's other half with
+    w).  The vectors and masks of each h-factor are made once
+    (_masked_h); the other halves and their masks once per step.  The
+    descent guard is tuple order: m > op exactly when
+    descent_key(m) < descent_key(op).
     """
-    cls = classify_diagram(op, K, L)
-    if not cls.is_anomaly:
-        raise ValueError(f"operator classifies as {cls.case}; nothing to reduce")
+    case, g, rule = _classify(op, K, L)
+    if rule is None:
+        raise ValueError(f"operator classifies as {case}; nothing to reduce")
     n = K + L + 1
-    g = cls.place
-    _, own_places, k, other_places, partner, l = _rule_at(op, K, L, g)
+    _, own_places, k, other_places, partner, l = rule
     guilty_y = op.yexp[g - 1] > 0
     own, other = _own_first(op.xexp, op.yexp, guilty_y)
-    base = Monomial(*_own_first(_drop(own, g, k), _drop(other, partner, l), guilty_y))
-    other_vs = list(_h_exponents(l, other_places, n))
-    key = descent_key(op)
+    own_base, other_base = _drop(own, g, k), _drop(other, partner, l)
+    own_mask = _support(own_base)
+    other_mask = _support(other_base)
+    halves = [(tuple(map(add, other_base, w)), other_mask | mw, w[partner - 1] == l)
+              for w, mw in _masked_h(l, other_places, n)]
     out: list[tuple[int, Monomial]] = []
-    for v in _h_exponents(k, own_places, n):
-        for w in other_vs:
-            if v[g - 1] == k and w[partner - 1] == l:
-                continue  # the guilty monomial itself
-            m = _shift(base, *_own_first(v, w, guilty_y))
-            if m is None:
-                continue
-            if not descent_key(m) < key:
+    for v, mv in _masked_h(k, own_places, n):
+        mask = own_mask | mv
+        guilty_v = v[g - 1] == k
+        own_half = None
+        for other_half, mw, guilty_w in halves:
+            if mask & mw or guilty_v and guilty_w:
+                continue  # mixed, so in the ideal; or the guilty monomial itself
+            if own_half is None:
+                own_half = tuple(map(add, own_base, v))
+            m = Monomial(other_half, own_half) if guilty_y else Monomial(own_half, other_half)
+            if m <= op:
                 raise RewriteDefectError(
                     f"rewrite of {op} emitted non-descending monomial {m}")
             out.append((-1, m))
@@ -607,16 +640,16 @@ def normal_form(op: Monomial, K: int, L: int,
 
     An operator above Delta's bidegree has normal form 0 at once: no drawing
     lies above it and every rewrite keeps the bidegree.  Any other operator
-    is rewritten along a depth-first stack from op.  classify_diagram
-    decides each monomial not yet in the hook's memo once: a null operator
-    has normal form 0, the S half of a drawing is its own normal form, and
-    any other monomial is rewritten by reduce_step.  A rewritten monomial's
-    normal form is the combination of the normal forms of its replacement
-    terms, taken once all of them are in the memo.  Each monomial is
-    rewritten at most once per call, and reduce_step raises
-    RewriteDefectError unless every replacement descends strictly in the
-    block order of descent_key; the monomials of op's bidegree are finitely
-    many, so the walk ends.
+    is rewritten along a depth-first stack from op.  Each monomial not yet
+    in the hook's memo is settled once, by the tests classify_diagram
+    begins with: a null operator has normal form 0, the S half of a drawing
+    is its own normal form, and any other monomial is rewritten by
+    reduce_step, which classifies it.  A rewritten monomial's normal form is
+    the combination of the normal forms of its replacement terms, taken once
+    all of them are in the memo.  Each monomial is rewritten at most once
+    per call, and reduce_step raises RewriteDefectError unless every
+    replacement descends strictly in the block order of descent_key; the
+    monomials of op's bidegree are finitely many, so the walk ends.
 
     With validate=True the identity is checked by applying the difference of
     its two sides to Delta (built when not given); a nonzero result raises
@@ -626,10 +659,11 @@ def normal_form(op: Monomial, K: int, L: int,
     n = hook_size(K, L)
     if op.n != n:
         raise ValueError(f"operator ambient {op.n} != n = {n}")
-    if delta is not None and delta.mu != (mu := hook_partition(K, L)):
-        raise ValueError(f"Delta of {delta.mu} given for the hook {mu}")
+    if delta is not None and delta.mu.parts != (K + 1,) + (1,) * L:
+        raise ValueError(f"Delta of {delta.mu} given for the hook {hook_partition(K, L)}")
     bx, by = L * (L + 1) // 2, K * (K + 1) // 2  # (n(mu), n(mu')) of the hook
     memo = _rewriter(K, L)
+    index = _s_index(K, L)
     rewrites: dict[Monomial, list[tuple[int, Monomial]]] = {}
     stack = [op] if op.xdeg() <= bx and op.ydeg() <= by else []
     while stack:
@@ -638,9 +672,11 @@ def normal_form(op: Monomial, K: int, L: int,
             stack.pop()
             continue
         if m not in rewrites:
-            case = classify_diagram(m, K, L).case
-            if case in (CASE_NULL, CASE_VALID):
-                memo[stack.pop()] = {m: 1} if case == CASE_VALID else {}
+            if any(map(mul, m.xexp, m.yexp)):
+                memo[stack.pop()] = {}  # null: some x_i y_i divides m
+                continue
+            if m in index:
+                memo[stack.pop()] = {m: 1}
                 continue
             rewrites[m] = reduce_step(m, K, L)
         pending = [mm for _, mm in rewrites[m] if mm not in memo]
@@ -658,10 +694,12 @@ def normal_form(op: Monomial, K: int, L: int,
         memo[m] = combined
         stack.pop()
     nf = memo.get(op, {})  # {} for an op above the box, which was never pushed
-    if validate and not annihilates(Polynomial(op.n, nf) - Polynomial.monomial(op),
-                                    delta or DeltaPolynomial(hook_partition(K, L))):
-        raise RewriteDefectError(f"normal form of {op} fails the oracle")
-    index = _s_index(K, L)
+    if validate:
+        difference = dict(nf)
+        difference[op] = difference.get(op, 0) - 1
+        if not annihilates(Polynomial(n, difference),
+                           delta or DeltaPolynomial(hook_partition(K, L))):
+            raise RewriteDefectError(f"normal form of {op} fails the oracle")
     return {index[sm]: c for sm, c in nf.items()}
 
 

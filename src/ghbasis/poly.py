@@ -15,7 +15,8 @@ pure place-by-place comparison.)
 
 The ideal rewriting in :mod:`ghbasis.annihilator` descends under the related
 block order (:func:`descent_key`), which scans x_1..x_n then y_1..y_n with
-the same polarity; see that module for why the two orders differ.
+the same polarity, the reverse of tuple order on (xexp, yexp); see that
+module for why the two orders differ.
 """
 
 from __future__ import annotations
@@ -87,7 +88,12 @@ def mono_less(m1: Monomial, m2: Monomial) -> bool:
 
 def descent_key(m: Monomial):
     """Key for the rewriting's block order: scan x_1..x_n, y_1..y_n upward,
-    larger exponent at the first difference = smaller monomial."""
+    larger exponent at the first difference = smaller monomial.
+
+    Same-ambient monomials compare under it as the reverse of tuple order on
+    (xexp, yexp): descent_key(a) < descent_key(b) exactly when a > b, since
+    both vectors have length n and the key negates x then y.
+    """
     return tuple(-e for e in m.xexp) + tuple(-e for e in m.yexp)
 
 

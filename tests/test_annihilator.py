@@ -35,7 +35,6 @@ from ghbasis.poly import (
     descent_key,
     format_poly,
     parse_poly,
-    unit_monomial,
 )
 
 
@@ -592,6 +591,52 @@ def test_reduce_step_descends_and_matches_oracle(K, L):
             assert lhs == rhs
 
 
+def reduce_step_by_shift(op, K, L):
+    """The rewriting step built term by term: every other monomial of the
+    h-product shifts the base, mixed terms are dropped once built, and each
+    kept term is checked against op by descent_key; the oracle for
+    reduce_step."""
+    g = classify_diagram(op, K, L).place
+    _, own_places, k, other_places, partner, l = annihilator._rule_at(op, K, L, g)
+    n = K + L + 1
+    guilty_y = op.yexp[g - 1] > 0
+    own, other = (op.yexp, op.xexp) if guilty_y else (op.xexp, op.yexp)
+    own_base, other_base = annihilator._drop(own, g, k), annihilator._drop(other, partner, l)
+    out = []
+    for v in annihilator._h_exponents(k, own_places, n):
+        for w in annihilator._h_exponents(l, other_places, n):
+            if v[g - 1] == k and w[partner - 1] == l:
+                continue
+            a, b = tuple(map(add, own_base, v)), tuple(map(add, other_base, w))
+            if any(p and q for p, q in zip(a, b)):
+                continue
+            m = Monomial(b, a) if guilty_y else Monomial(a, b)
+            assert descent_key(m) < descent_key(op), (op, m)
+            out.append((-1, m))
+    return out
+
+
+def sampled_anomalies(K, L, size, seed):
+    ops = random.Random(seed).sample(list(hook_box(K, L)), size)
+    return [op for op in ops if classify_diagram(op, K, L).is_anomaly]
+
+
+@pytest.mark.parametrize("K,L", list(hooks_up_to(4)))
+def test_reduce_step_matches_the_shift_oracle_on_the_box(K, L):
+    anomalies = [op for op in hook_box(K, L) if classify_diagram(op, K, L).is_anomaly]
+    assert anomalies or K + L < 2
+    for op in anomalies:
+        assert reduce_step(op, K, L) == reduce_step_by_shift(op, K, L), op
+
+
+@pytest.mark.parametrize("K,L", [(K, L) for K, L in hooks_up_to(6) if K + L >= 4])
+def test_reduce_step_matches_the_shift_oracle_on_a_sample(K, L):
+    anomalies = sampled_anomalies(K, L, 400, seed=1000 * K + L)
+    assert anomalies
+    for op in anomalies:
+        assert reduce_step(op, K, L) == reduce_step_by_shift(op, K, L), op
+
+
 def test_normal_form_examples():
     delta = build_delta(hook_partition(1, 1))
     nf = normal_form(mono("x3", 3), 1, 1, delta=delta, validate=True)
@@ -630,8 +675,8 @@ def test_normal_form_exhaustive_small(K, L):
 
 def normal_form_by_worklist(op, K, L, memo, s_halves):
     """The memoized rewriting loop with its own null test and set of S
-    halves, and reduce_step for everything else: the oracle for normal_form,
-    which takes both tests from classify_diagram."""
+    halves, and reduce_step for everything else: the oracle for
+    normal_form."""
     rewrites = {}
     stack = [op]
     while stack:
@@ -719,10 +764,10 @@ def test_normal_form_above_the_box_rewrites_nothing(monkeypatch):
 
 
 def test_normal_form_stops_at_a_non_descending_rewrite(monkeypatch):
-    # Every replacement term becomes the unit, the largest monomial in the
-    # descent order; without the descent check x3 would get the all-white
-    # drawing with coefficient -2.
-    monkeypatch.setattr(annihilator, "_shift", lambda op, dx, dy: unit_monomial(op.n))
+    # Every h-factor becomes the constant 1, so the one replacement term of
+    # x3 is the unit, the largest monomial in the descent order; without the
+    # descent check x3 would get the all-white drawing with coefficient -1.
+    monkeypatch.setattr(annihilator, "_masked_h", lambda degree, places, n: (((0,) * n, 0),))
     monkeypatch.setattr(annihilator, "_rewriter", lambda K, L: {})
     with pytest.raises(RewriteDefectError, match="non-descending"):
         normal_form(mono("x3", 3), 1, 1)

@@ -1,4 +1,5 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +73,14 @@ def test_order_multiplicative_randomized():
             assert mono_less(m.mul(m1), m.mul(m2))
         if descent_key(m1) < descent_key(m2):
             assert descent_key(m.mul(m1)) < descent_key(m.mul(m2))
+
+
+def test_descent_key_is_reverse_tuple_order():
+    box = [Monomial(xe, ye) for xe in iproduct(range(3), repeat=2)
+           for ye in iproduct(range(3), repeat=2)]
+    for a in box:
+        for b in box:
+            assert (descent_key(a) < descent_key(b)) == (a > b), (a, b)
 
 
 def test_mismatched_ambient_rejected():
